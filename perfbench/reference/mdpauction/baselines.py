@@ -1,0 +1,288 @@
+"""Insertion-heuristic bundle auction baselines.
+
+The deterministic variant scores a path by simulating it at mean speed and bids
+the best single-position insertion gain. The robust variant averages the same
+path score over N sampled speed scenarios (common random numbers across the
+candidate positions of one call) and wraps its bids before sharing. Both reuse
+the consensus engine from the auction module; only bundle construction differs:
+baselines insert into a path at the best position, while the value-function
+method appends (its execution order comes from the policy, not the path).
+
+Score accounting: each insertion bid costs |path|+1 path evaluations
+(deterministic) or N * (|path|+1) (robust); the baseline path's own score is
+amortized and not counted.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .auction import (
+    AllocationResult,
+    BundleState,
+    NetworkModel,
+    _finish_result,
+    run_coordination,
+    wrap_bid,
+)
+from .instance import AgentSpec, MissionInstance, distance
+from .valuedp import Scenario, mean_scenario
+
+
+@dataclass
+class EvalCounter:
+    count: int = 0
+
+
+@dataclass(frozen=True)
+class RobustConfig:
+    sample_count: int = 1000
+    seed: int = 0
+
+
+@dataclass(frozen=True)
+class PathScore:
+    reward: float
+    served: tuple[int, ...]
+    finish_time: float
+
+
+def path_reward(
+    inst: MissionInstance,
+    agent: AgentSpec,
+    path: list[int],
+    scenario: Scenario | None = None,
+) -> PathScore:
+    """Simulate a fixed visit order; failed tasks are passed through at zero reward.
+
+    Service starts at max(arrival, ready_time) and succeeds iff arrival is no
+    later than the due time. Times are exact (no grid).
+    """
+    if scenario is None:
+        scenario = mean_scenario(inst)
+    seen = set()
+    for j in path:
+        if not (0 <= j < inst.n_tasks) or j in seen:
+            raise ValueError(f"path visits task {j} twice or out of range")
+        seen.add(j)
+    t = 0.0
+    here = agent.start
+    here_index = 0
+    reward = 0.0
+    served = []
+    for j in path:
+        task = inst.tasks[j]
+        speed = scenario.speed(here_index, j + 1)
+        arrival = t + distance(here, task.location) / speed
+        if arrival <= task.due_time:
+            reward += task.price
+            served.append(j)
+            t = max(arrival, task.ready_time) + task.service_duration
+        else:
+            t = arrival
+        here = task.location
+        here_index = j + 1
+    return PathScore(reward=reward, served=tuple(served), finish_time=t)
+
+
+def cbba_insertion_bid(
+    inst: MissionInstance,
+    agent: AgentSpec,
+    path: list[int],
+    task_id: int,
+    counter: EvalCounter | None = None,
+    base_score: float | None = None,
+) -> tuple[float, int]:
+    """Best mean-speed insertion gain for task_id over all |path|+1 positions.
+
+    Returns (bid, position); ties go to the lowest position. Counts one path
+    evaluation per position.
+    """
+    if base_score is None:
+        base_score = path_reward(inst, agent, path).reward
+    best_gain, best_pos = None, 0
+    for pos in range(len(path) + 1):
+        candidate = path[:pos] + [task_id] + path[pos:]
+        score = path_reward(inst, agent, candidate).reward
+        if counter is not None:
+            counter.count += 1
+        gain = score - base_score
+        if best_gain is None or gain > best_gain:
+            best_gain, best_pos = gain, pos
+    return best_gain, best_pos
+
+
+def _sample_scenarios(inst: MissionInstance, cfg: RobustConfig, call_index: int) -> list[Scenario]:
+    """Per-call scenario batch; deterministic in (cfg.seed, call_index)."""
+    model = inst.agents[0].speed
+    size = inst.n_tasks + 1
+    rng = np.random.default_rng((cfg.seed, call_index))
+    if model.variance == 0.0:
+        speeds = np.full((cfg.sample_count, size, size), model.mean)
+    else:
+        speeds = model.mean + model.std * rng.standard_normal(
+            (cfg.sample_count, size, size)
+        )
+        np.maximum(speeds, model.truncation_floor, out=speeds)
+    return [Scenario(speeds[k]) for k in range(cfg.sample_count)]
+
+
+def robust_insertion_bid(
+    inst: MissionInstance,
+    agent: AgentSpec,
+    path: list[int],
+    task_id: int,
+    scenarios: list[Scenario],
+    counter: EvalCounter | None = None,
+    base_mean: float | None = None,
+) -> tuple[float, int]:
+    """Best sampled-mean insertion gain under common random numbers.
+
+    Every candidate position is scored on the same scenario list; the bid is
+    the best mean score minus the path's own mean score. Counts N path
+    evaluations per position.
+    """
+    n = len(scenarios)
+    if base_mean is None:
+        base_mean = (
+            math.fsum(path_reward(inst, agent, path, sc).reward for sc in scenarios) / n
+        )
+    best_gain, best_pos = None, 0
+    for pos in range(len(path) + 1):
+        candidate = path[:pos] + [task_id] + path[pos:]
+        total = 0.0
+        for sc in scenarios:
+            total += path_reward(inst, agent, candidate, sc).reward
+            if counter is not None:
+                counter.count += 1
+        gain = total / n - base_mean
+        if best_gain is None or gain > best_gain:
+            best_gain, best_pos = gain, pos
+    return best_gain, best_pos
+
+
+def _build_insertion_bundle(
+    inst: MissionInstance,
+    agent: AgentSpec,
+    state: BundleState,
+    counter: EvalCounter,
+    robust_cfg: RobustConfig | None,
+    call_state: dict,
+) -> bool:
+    robust = robust_cfg is not None
+    grew = False
+    while len(state.bundle) < state.capacity:
+        if robust:
+            call_state["calls"] = call_state.get("calls", 0) + 1
+            scenarios = _sample_scenarios(
+                inst, robust_cfg, call_state["calls"] * (agent.id + 1)
+            )
+            base = (
+                math.fsum(
+                    path_reward(inst, agent, state.path, sc).reward
+                    for sc in scenarios
+                )
+                / len(scenarios)
+            )
+        else:
+            scenarios = None
+            base = path_reward(inst, agent, state.path).reward
+        best = None  # (offer, task, pos)
+        for j in range(inst.n_tasks):
+            if j in state.bundle:
+                continue
+            if robust:
+                gain, pos = robust_insertion_bid(
+                    inst, agent, state.path, j, scenarios, counter, base_mean=base
+                )
+                offer = wrap_bid(
+                    gain, [float(state.winning_bids[b]) for b in state.bundle]
+                )
+            else:
+                gain, pos = cbba_insertion_bid(
+                    inst, agent, state.path, j, counter, base_score=base
+                )
+                offer = gain
+            if offer <= 0.0 or not offer > float(state.winning_bids[j]):
+                continue
+            if best is None or offer > best[0]:
+                best = (offer, j, pos)
+        if best is None:
+            break
+        offer, j, pos = best
+        state.path.insert(pos, j)
+        state.bundle.append(j)
+        state.winning_bids[j] = offer
+        state.winners[j] = state.agent_id
+        grew = True
+    return grew
+
+
+def run_cbba(
+    inst: MissionInstance,
+    network: NetworkModel | None = None,
+    variant: str = "deterministic",
+    robust_cfg: RobustConfig | None = None,
+    max_rounds: int | None = None,
+    trace: list | None = None,
+) -> AllocationResult:
+    """Insertion-bid bundle auction to consensus (deterministic or robust)."""
+    if variant not in ("deterministic", "robust"):
+        raise ValueError(f"unknown variant {variant!r}")
+    robust = variant == "robust"
+    if robust and robust_cfg is None:
+        robust_cfg = RobustConfig()
+    if network is None:
+        network = NetworkModel.complete(inst.n_agents)
+    if network.n_agents != inst.n_agents:
+        raise ValueError("network size does not match the instance's agent count")
+    counter = EvalCounter()
+    states = [
+        BundleState(
+            agent_id=a.id,
+            capacity=a.capacity,
+            n_tasks=inst.n_tasks,
+            n_agents=inst.n_agents,
+        )
+        for a in inst.agents
+    ]
+    call_states = [dict() for _ in inst.agents]
+
+    def build(i: int, state: BundleState) -> bool:
+        return _build_insertion_bundle(
+            inst,
+            inst.agents[i],
+            state,
+            counter,
+            robust_cfg if robust else None,
+            call_states[i],
+        )
+
+    rounds, converged, oscillating = run_coordination(
+        inst, network, states, build, max_rounds, trace=trace
+    )
+    per_agent_value = {}
+    for agent in inst.agents:
+        path = states[agent.id].path
+        if robust:
+            scenarios = _sample_scenarios(inst, robust_cfg, 0)
+            per_agent_value[agent.id] = (
+                math.fsum(path_reward(inst, agent, path, sc).reward for sc in scenarios)
+                / len(scenarios)
+            )
+        else:
+            per_agent_value[agent.id] = path_reward(inst, agent, path).reward
+    return _finish_result(
+        "cbba" if not robust else "robust-cbba",
+        inst,
+        states,
+        None,
+        rounds,
+        converged,
+        oscillating,
+        counter.count,
+        per_agent_value=per_agent_value,
+    )

@@ -1,0 +1,375 @@
+"""Command-line front end.
+
+Subcommands: gen, solve, validate, bench, check. All output except wall-time
+columns is deterministic for a fixed seed; floats print through repr so reruns
+compare byte for byte.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import io
+import sys
+from pathlib import Path
+
+from .auction import NetworkModel, run_auction
+from .baselines import RobustConfig, run_cbba
+from .harness import (
+    ExperimentConfig,
+    bench_complexity,
+    convergence_study,
+    derive_seed,
+    optimality_study,
+    rows_to_csv,
+    submodularity_study,
+)
+from .instance import (
+    GenerationConfig,
+    InstanceFormatError,
+    generate_instance,
+    load_instance,
+    save_instance,
+    serialize_instance,
+)
+from .rollout import validate as rollout_validate
+from .valuedp import ValueSolver
+
+METHODS = ("auction", "cbba", "robust-cbba")
+
+VALIDATE_COLUMNS = [
+    "instance_seed",
+    "method",
+    "rollout_count",
+    "expected_reward",
+    "actual_reward_mean",
+    "actual_reward_std",
+    "finish_rate",
+    "served_total",
+    "failed_total",
+    "unassigned_total",
+]
+
+BENCH_COLUMNS = [
+    "n_tasks",
+    "n_agents",
+    "instance_seed",
+    "method",
+    "score_evaluations",
+    "setup_wall_s",
+    "coordination_wall_s",
+    "total_wall_s",
+]
+
+
+def _f(x: float) -> str:
+    return repr(float(x))
+
+
+def _network(name: str, m: int, seed: int) -> NetworkModel:
+    if name == "complete":
+        return NetworkModel.complete(m)
+    if name == "ring":
+        return NetworkModel.ring(m)
+    if name == "line":
+        return NetworkModel.line(m)
+    if name == "random":
+        return NetworkModel.random_connected(m, seed=seed)
+    raise ValueError(f"unknown topology {name!r}")
+
+
+def _write_csv(rows: list[dict], columns: list[str], path: str) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore",
+                                lineterminator="\n")
+        writer.writeheader()
+        for row in rows:
+            writer.writerow(
+                {c: (_f(v) if isinstance(v, float) else v)
+                 for c, v in ((c, row.get(c, "")) for c in columns)}
+            )
+
+
+def _cmd_gen(args) -> int:
+    cfg = GenerationConfig(
+        n_tasks=args.n,
+        n_agents=args.m,
+        sigma_v_sq=args.sigma,
+        seed=args.seed,
+        capacity=args.capacity,
+    )
+    if args.count == 1:
+        inst = generate_instance(cfg)
+        if args.out:
+            save_instance(inst, args.out)
+        else:
+            sys.stdout.write(serialize_instance(inst) + "\n")
+        return 0
+    if not args.out:
+        raise ValueError("--out is required when --count > 1")
+    stem = Path(args.out)
+    for i in range(args.count):
+        inst = generate_instance(
+            GenerationConfig(
+                n_tasks=args.n,
+                n_agents=args.m,
+                sigma_v_sq=args.sigma,
+                seed=derive_seed(args.seed, 1, i),
+                capacity=args.capacity,
+            )
+        )
+        save_instance(inst, stem.with_name(f"{stem.stem}-{i:04d}{stem.suffix}"))
+    return 0
+
+
+def _solve_one(inst, args):
+    network = _network(args.topology, inst.n_agents, args.seed)
+    sigma = inst.agents[0].speed.variance
+    if args.method == "auction":
+        nodes = 1 if sigma == 0.0 else args.quadrature
+        solver = ValueSolver(inst, quadrature_nodes=nodes, grid_step=args.grid)
+        allocation = run_auction(
+            inst, network=network, solver=solver, wrapping=args.wrap
+        )
+        return allocation, solver
+    variant = "robust" if args.method == "robust-cbba" else "deterministic"
+    rc = RobustConfig(sample_count=args.samples, seed=args.seed)
+    allocation = run_cbba(inst, network=network, variant=variant, robust_cfg=rc)
+    return allocation, None
+
+
+def _cmd_solve(args) -> int:
+    inst = load_instance(args.instance)
+    allocation, _ = _solve_one(inst, args)
+    out = io.StringIO()
+    out.write(f"method: {allocation.method}\n")
+    for agent in inst.agents:
+        tasks = sorted(allocation.assignment.get(agent.id, []))
+        path = list(allocation.paths.get(agent.id, []))
+        value = allocation.per_agent_value.get(agent.id, 0.0)
+        out.write(
+            f"agent {agent.id}: tasks {tasks} path {path} value {_f(value)}\n"
+        )
+    out.write(f"unassigned: {sorted(allocation.unassigned)}\n")
+    out.write(f"total value: {_f(allocation.total_value)}\n")
+    out.write(f"expected reward: {_f(allocation.expected_reward(inst))}\n")
+    out.write(
+        f"rounds: {allocation.rounds_to_converge} "
+        f"converged: {allocation.converged} "
+        f"evaluations: {allocation.score_evaluations}\n"
+    )
+    sys.stdout.write(out.getvalue())
+    if args.out:
+        import json
+
+        doc = {
+            "method": allocation.method,
+            "assignment": {str(k): sorted(v) for k, v in allocation.assignment.items()},
+            "paths": {str(k): list(v) for k, v in allocation.paths.items()},
+            "unassigned": sorted(allocation.unassigned),
+            "per_agent_value": {
+                str(k): v for k, v in sorted(allocation.per_agent_value.items())
+            },
+            "total_value": allocation.total_value,
+            "expected_reward": allocation.expected_reward(inst),
+            "rounds_to_converge": allocation.rounds_to_converge,
+            "converged": allocation.converged,
+            "score_evaluations": allocation.score_evaluations,
+        }
+        Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return 0
+
+
+def _cmd_validate(args) -> int:
+    if args.instance:
+        inst = load_instance(args.instance)
+    else:
+        inst = generate_instance(
+            GenerationConfig(
+                n_tasks=args.n, n_agents=args.m, sigma_v_sq=args.sigma,
+                seed=args.seed,
+            )
+        )
+    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    for m in methods:
+        if m not in METHODS:
+            raise ValueError(f"unknown method {m!r}")
+    allocations = {}
+    auction_solver = None
+    for method in methods:
+        ns = argparse.Namespace(
+            method=method, topology=args.topology, seed=args.seed,
+            quadrature=args.quadrature, grid=args.grid, samples=args.samples,
+            wrap=args.wrap,
+        )
+        allocation, solver = _solve_one(inst, ns)
+        allocations[method] = allocation
+        if method == "auction":
+            auction_solver = solver
+    reports = rollout_validate(
+        inst, allocations, rounds=args.rounds, seed=args.seed,
+        solver=auction_solver,
+    )
+    rows = [reports[m].as_row() for m in methods]
+    for row in rows:
+        sys.stdout.write(
+            f"{row['method']}: expected {_f(row['expected_reward'])} "
+            f"actual {_f(row['actual_reward_mean'])} "
+            f"(std {_f(row['actual_reward_std'])}) "
+            f"finish_rate {_f(row['finish_rate'])}\n"
+        )
+    if args.out:
+        _write_csv(rows, VALIDATE_COLUMNS, args.out)
+    return 0
+
+
+def _cmd_bench(args) -> int:
+    dims = tuple(int(d) for d in args.dims.split(",") if d)
+    rows = bench_complexity(
+        n_values=dims, n_agents=args.m, seed=args.seed,
+        robust_samples=args.samples, repeats=args.repeats,
+    )
+    for row in rows:
+        sys.stdout.write(
+            f"n={row['n_tasks']} method={row['method']} "
+            f"evaluations={row['score_evaluations']}\n"
+        )
+    if args.out:
+        _write_csv(rows, BENCH_COLUMNS, args.out)
+    return 0
+
+
+def _cmd_check(args) -> int:
+    violations = 0
+    if args.property in ("submodularity", "all"):
+        study = submodularity_study(count=args.trials, seed=args.seed)
+        sys.stdout.write(
+            f"property: submodularity screened={study['screened']} "
+            f"checked={study['checked']} violations={study['violations']} "
+            f"worst={_f(study['worst'])}\n"
+        )
+        violations += study["violations"]
+    if args.property in ("monotonicity", "all"):
+        from .harness import check_monotonicity_V
+
+        bad = 0
+        checks = 0
+        for i in range(args.trials):
+            inst = generate_instance(
+                GenerationConfig(
+                    n_tasks=3, n_agents=1, sigma_v_sq=(0.0, 0.1)[i % 2],
+                    seed=derive_seed(args.seed, 4, i),
+                )
+            )
+            report = check_monotonicity_V(inst, max_set=3)
+            checks += report.checks
+            bad += report.violations
+        sys.stdout.write(
+            f"property: monotonicity checks={checks} violations={bad}\n"
+        )
+        violations += bad
+    if args.property in ("optimality", "all"):
+        rows = optimality_study(count=args.trials, seed=args.seed)
+        worst = min(row["ratio"] for row in rows)
+        bad = sum(1 for row in rows if row["ratio"] < 0.5 - 1e-9)
+        sys.stdout.write(
+            f"property: optimality instances={len(rows)} "
+            f"min_ratio={_f(worst)} violations={bad}\n"
+        )
+        violations += bad
+    if args.property in ("convergence", "all"):
+        rows = convergence_study(count=args.trials, seed=args.seed)
+        bad = sum(1 for row in rows if row["rounds"] > row["bound"])
+        not_converged = sum(1 for row in rows if not row["converged"])
+        sys.stdout.write(
+            f"property: convergence runs={len(rows)} over_bound={bad} "
+            f"not_converged={not_converged}\n"
+        )
+        violations += bad + not_converged
+    sys.stdout.write("PASS\n" if violations == 0 else "FAIL\n")
+    return 0 if violations == 0 else 1
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="mdpauction",
+        description="Auction-based task allocation with MDP value bidding.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("gen", help="generate instance files")
+    p.add_argument("--n", type=int, required=True, help="number of tasks")
+    p.add_argument("--m", type=int, required=True, help="number of agents")
+    p.add_argument("--sigma", type=float, default=0.1, help="speed variance")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--capacity", type=int, default=None)
+    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--out", type=str, default=None)
+    p.set_defaults(func=_cmd_gen)
+
+    p = sub.add_parser("solve", help="allocate one instance with one method")
+    p.add_argument("instance", type=str)
+    p.add_argument("--method", choices=METHODS, default="auction")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--quadrature", type=int, default=8)
+    p.add_argument("--grid", type=float, default=1.0)
+    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--wrap", action=argparse.BooleanOptionalAction, default=True)
+    p.add_argument("--topology", default="complete",
+                   choices=("complete", "ring", "line", "random"))
+    p.add_argument("--out", type=str, default=None)
+    p.set_defaults(func=_cmd_solve)
+
+    p = sub.add_parser("validate", help="rollout study over methods")
+    p.add_argument("instance", type=str, nargs="?", default=None)
+    p.add_argument("--n", type=int, default=4)
+    p.add_argument("--m", type=int, default=2)
+    p.add_argument("--sigma", type=float, default=0.1)
+    p.add_argument("--methods", type=str, default="auction,cbba,robust-cbba")
+    p.add_argument("--rounds", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--quadrature", type=int, default=8)
+    p.add_argument("--grid", type=float, default=1.0)
+    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--wrap", action=argparse.BooleanOptionalAction, default=True)
+    p.add_argument("--topology", default="complete",
+                   choices=("complete", "ring", "line", "random"))
+    p.add_argument("--out", type=str, default=None)
+    p.set_defaults(func=_cmd_validate)
+
+    p = sub.add_parser("bench", help="evaluation-count and wall-time sweep")
+    p.add_argument("--dims", type=str, default="2,3,4,5",
+                   help="comma-separated task counts")
+    p.add_argument("--m", type=int, default=2)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--repeats", type=int, default=3)
+    p.add_argument("--out", type=str, default=None)
+    p.set_defaults(func=_cmd_bench)
+
+    p = sub.add_parser("check", help="property suites")
+    p.add_argument("--property", default="all",
+                   choices=("submodularity", "monotonicity", "optimality",
+                            "convergence", "all"))
+    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(func=_cmd_check)
+
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    try:
+        return args.func(args)
+    except (InstanceFormatError, ValueError, OSError, RuntimeError) as err:
+        sys.stderr.write(f"error: {err}\n")
+        return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,667 @@
+"""Experiment orchestration, property suites, and the brute-force referee.
+
+Everything here is seeded and deterministic: instance seeds derive from the
+master seed through SeedSequence, rollouts pair scenarios across methods, and
+CSV output is byte-identical across runs except for wall-time columns.
+Set MDPAUCTION_WORKERS=k to fan instances out over k processes (the row order
+is still deterministic).
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import itertools
+import math
+import os
+import time
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .auction import AllocationResult, NetworkModel, run_auction
+from .baselines import RobustConfig, run_cbba
+from .instance import GenerationConfig, MissionInstance, generate_instance
+from .rollout import validate
+from .valuedp import (
+    Scenario,
+    ValueSolver,
+    build_quadrature,
+    deterministic_route_reward,
+)
+
+SUBMODULARITY_TOLERANCE = 1e-9
+
+CSV_COLUMNS = [
+    "n_tasks",
+    "n_agents",
+    "sigma_v_sq",
+    "instance_seed",
+    "method",
+    "expected_reward",
+    "actual_reward_mean",
+    "actual_reward_std",
+    "finish_rate",
+    "served_total",
+    "failed_total",
+    "unassigned_total",
+    "rounds_to_converge",
+    "converged",
+    "score_evaluations",
+    "setup_wall_s",
+    "coordination_wall_s",
+    "total_wall_s",
+]
+
+WALL_COLUMNS = ("setup_wall_s", "coordination_wall_s", "total_wall_s")
+
+
+@dataclass
+class PropertyReport:
+    name: str
+    checks: int = 0
+    violations: int = 0
+    worst: float = 0.0
+    witnesses: list = field(default_factory=list)
+
+    def record(self, magnitude: float, witness: dict, tolerance: float) -> None:
+        self.checks += 1
+        if magnitude > tolerance:
+            self.violations += 1
+            self.worst = max(self.worst, magnitude)
+            if len(self.witnesses) < 20:
+                self.witnesses.append(witness)
+
+    @property
+    def ok(self) -> bool:
+        return self.violations == 0
+
+
+def _subsets(ids: tuple[int, ...]):
+    for r in range(len(ids) + 1):
+        yield from itertools.combinations(ids, r)
+
+
+def check_submodularity_V(
+    inst: MissionInstance,
+    agent=None,
+    max_set: int = 4,
+    solver: ValueSolver | None = None,
+    tolerance: float = SUBMODULARITY_TOLERANCE,
+) -> PropertyReport:
+    """Exhaustive V(A+j) - V(A) >= V(B+j) - V(B) over nested A within B."""
+    if inst.n_tasks > max_set:
+        raise ValueError(f"instance has {inst.n_tasks} tasks; cap is {max_set}")
+    if agent is None:
+        agent = inst.agents[0]
+    if solver is None:
+        solver = ValueSolver(inst)
+    ids = tuple(range(inst.n_tasks))
+    values = {
+        s: solver.set_value(agent, s) for s in _subsets(ids)
+    }
+    report = PropertyReport(name="submodularity")
+    for big in _subsets(ids):
+        big_set = set(big)
+        for small in _subsets(big):
+            for j in ids:
+                if j in big_set:
+                    continue
+                gain_small = values[tuple(sorted(set(small) | {j}))] - values[small]
+                gain_big = values[tuple(sorted(big_set | {j}))] - values[big]
+                report.record(
+                    gain_big - gain_small,
+                    {
+                        "small": small,
+                        "big": big,
+                        "task": j,
+                        "gain_small": gain_small,
+                        "gain_big": gain_big,
+                    },
+                    tolerance,
+                )
+    return report
+
+
+def check_monotonicity_V(
+    inst: MissionInstance,
+    agent=None,
+    max_set: int = 4,
+    solver: ValueSolver | None = None,
+) -> PropertyReport:
+    """V(B) >= V(A) for A within B; holds structurally through the skip action."""
+    if inst.n_tasks > max_set:
+        raise ValueError(f"instance has {inst.n_tasks} tasks; cap is {max_set}")
+    if agent is None:
+        agent = inst.agents[0]
+    if solver is None:
+        solver = ValueSolver(inst)
+    ids = tuple(range(inst.n_tasks))
+    values = {s: solver.set_value(agent, s) for s in _subsets(ids)}
+    report = PropertyReport(name="monotonicity")
+    for big in _subsets(ids):
+        for small in _subsets(big):
+            report.record(
+                values[small] - values[big],
+                {"small": small, "big": big},
+                SUBMODULARITY_TOLERANCE,
+            )
+    return report
+
+
+def _scenario_from_nodes(inst: MissionInstance, arcs, node_speeds, assignment) -> Scenario:
+    n = inst.n_tasks + 1
+    mean = inst.agents[0].speed.mean
+    speeds = np.full((n, n), mean)
+    for (a, b), q in zip(arcs, assignment):
+        speeds[a, b] = node_speeds[q]
+    return Scenario(speeds)
+
+
+def classify_r_submodular(
+    inst: MissionInstance,
+    agent=None,
+    quadrature_nodes: int = 2,
+    tolerance: float = SUBMODULARITY_TOLERANCE,
+) -> bool:
+    """Scenario-wise brute force: is the clairvoyant route reward submodular for
+    every combination of quadrature-node speeds on the traversable arcs?
+
+    Arcs are depot->task and task->task ordered pairs; Q^(arcs) combinations,
+    so this is only meant for very small instances.
+    """
+    if agent is None:
+        agent = inst.agents[0]
+    n = inst.n_tasks
+    ids = tuple(range(n))
+    arcs = [(0, j + 1) for j in ids] + [
+        (i + 1, j + 1) for i in ids for j in ids if i != j
+    ]
+    quad = build_quadrature(agent.speed, quadrature_nodes)
+    node_speeds = quad.speeds
+    for assignment in itertools.product(range(len(node_speeds)), repeat=len(arcs)):
+        scenario = _scenario_from_nodes(inst, arcs, node_speeds, assignment)
+        rewards = {
+            s: deterministic_route_reward(inst, agent, s, scenario)
+            for s in _subsets(ids)
+        }
+        for big in _subsets(ids):
+            big_set = set(big)
+            for small in _subsets(big):
+                for j in ids:
+                    if j in big_set:
+                        continue
+                    gain_small = (
+                        rewards[tuple(sorted(set(small) | {j}))] - rewards[small]
+                    )
+                    gain_big = rewards[tuple(sorted(big_set | {j}))] - rewards[big]
+                    if gain_big - gain_small > tolerance:
+                        return False
+    return True
+
+
+def brute_force_opt(
+    inst: MissionInstance,
+    solver: ValueSolver | None = None,
+    max_tasks: int = 4,
+    max_agents: int = 3,
+) -> tuple[float, dict[int, list[int]]]:
+    """Exact optimum of sum-of-values minus the unassigned penalty.
+
+    Enumerates every capacity-feasible task->agent map (including leaving tasks
+    unassigned). Shares the solver's tables, so comparisons against auction
+    values are same-arithmetic.
+    """
+    n, m = inst.n_tasks, inst.n_agents
+    if n > max_tasks or m > max_agents:
+        raise ValueError(
+            f"brute force capped at {max_tasks} tasks / {max_agents} agents"
+        )
+    if solver is None:
+        solver = ValueSolver(inst)
+    best_value, best_map = None, None
+    for owners in itertools.product(range(-1, m), repeat=n):
+        sets: dict[int, list[int]] = {a.id: [] for a in inst.agents}
+        unassigned = 0
+        for j, owner in enumerate(owners):
+            if owner < 0:
+                unassigned += 1
+            else:
+                sets[owner].append(j)
+        if any(len(sets[a.id]) > a.capacity for a in inst.agents):
+            continue
+        value = (
+            math.fsum(
+                solver.set_value(a, sets[a.id]) if sets[a.id] else 0.0
+                for a in inst.agents
+            )
+            - inst.penalty * unassigned
+        )
+        if best_value is None or value > best_value:
+            best_value, best_map = value, sets
+    return best_value, best_map
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    dimensions: tuple[tuple[int, int], ...] = ((2, 2), (3, 2), (4, 2), (5, 2))
+    sigma_grid: tuple[float, ...] = (0.0, 0.05, 0.1, 0.2)
+    instances_per_cell: int = 10
+    methods: tuple[str, ...] = ("auction", "cbba", "robust-cbba")
+    rollout_rounds: int = 100
+    robust_samples: int = 100
+    quadrature_nodes: int = 8
+    grid_step: float = 1.0
+    master_seed: int = 0
+    wrapping: bool = True
+    topology: str = "complete"
+    max_rounds: int | None = None
+
+    def network(self, m: int) -> NetworkModel:
+        if self.topology == "complete":
+            return NetworkModel.complete(m)
+        if self.topology == "ring":
+            return NetworkModel.ring(m)
+        if self.topology == "line":
+            return NetworkModel.line(m)
+        if self.topology == "random":
+            return NetworkModel.random_connected(m, seed=self.master_seed)
+        raise ValueError(f"unknown topology {self.topology!r}")
+
+
+def derive_seed(master: int, *keys: int) -> int:
+    return int(np.random.SeedSequence([master, *keys]).generate_state(1)[0])
+
+
+def _coordinate(
+    inst: MissionInstance, method: str, cfg: ExperimentConfig, network: NetworkModel
+) -> tuple[AllocationResult, ValueSolver | None, float, float]:
+    """Run one method; returns (allocation, solver, setup_s, coordination_s)."""
+    if method == "auction":
+        nodes = 1 if inst.agents[0].speed.variance == 0.0 else cfg.quadrature_nodes
+        solver = ValueSolver(
+            inst, quadrature_nodes=nodes, grid_step=cfg.grid_step
+        )
+        t0 = time.perf_counter()
+        for agent in inst.agents:
+            solver.table(agent)  # tables are built before coordination starts
+        t1 = time.perf_counter()
+        allocation = run_auction(
+            inst,
+            network=network,
+            solver=solver,
+            wrapping=cfg.wrapping,
+            max_rounds=cfg.max_rounds,
+        )
+        t2 = time.perf_counter()
+        return allocation, solver, t1 - t0, t2 - t1
+    if method == "cbba":
+        t0 = time.perf_counter()
+        allocation = run_cbba(
+            inst, network=network, variant="deterministic", max_rounds=cfg.max_rounds
+        )
+        t1 = time.perf_counter()
+        return allocation, None, 0.0, t1 - t0
+    if method == "robust-cbba":
+        rc = RobustConfig(
+            sample_count=cfg.robust_samples,
+            seed=derive_seed(cfg.master_seed, 7001, inst.seed or 0),
+        )
+        t0 = time.perf_counter()
+        allocation = run_cbba(
+            inst,
+            network=network,
+            variant="robust",
+            robust_cfg=rc,
+            max_rounds=cfg.max_rounds,
+        )
+        t1 = time.perf_counter()
+        return allocation, None, 0.0, t1 - t0
+    raise ValueError(f"unknown method {method!r}")
+
+
+def run_cell_instance(cfg: ExperimentConfig, n: int, m: int, sigma: float, seed: int) -> list[dict]:
+    """All method rows for one generated instance (rollouts paired by seed)."""
+    inst = generate_instance(
+        GenerationConfig(n_tasks=n, n_agents=m, sigma_v_sq=sigma, seed=seed)
+    )
+    network = cfg.network(m)
+    rows = []
+    allocations: dict[str, AllocationResult] = {}
+    solvers: dict[str, ValueSolver | None] = {}
+    timings: dict[str, tuple[float, float]] = {}
+    for method in cfg.methods:
+        allocation, solver, setup_s, coord_s = _coordinate(inst, method, cfg, network)
+        allocations[method] = allocation
+        solvers[method] = solver
+        timings[method] = (setup_s, coord_s)
+    if cfg.rollout_rounds > 0:
+        solver = solvers.get("auction")
+        reports = validate(
+            inst,
+            allocations,
+            rounds=cfg.rollout_rounds,
+            seed=derive_seed(cfg.master_seed, 40, seed),
+            solver=solver,
+        )
+    else:
+        reports = None
+    for method in cfg.methods:
+        allocation = allocations[method]
+        setup_s, coord_s = timings[method]
+        row = {
+            "n_tasks": n,
+            "n_agents": m,
+            "sigma_v_sq": sigma,
+            "instance_seed": seed,
+            "method": method,
+            "rounds_to_converge": allocation.rounds_to_converge,
+            "converged": allocation.converged,
+            "score_evaluations": allocation.score_evaluations,
+            "setup_wall_s": setup_s,
+            "coordination_wall_s": coord_s,
+            "total_wall_s": setup_s + coord_s,
+        }
+        if reports is not None:
+            report = reports[method]
+            row.update(
+                expected_reward=report.expected_reward,
+                actual_reward_mean=report.actual_reward_mean,
+                actual_reward_std=report.actual_reward_std,
+                finish_rate=report.finish_rate,
+                served_total=report.served_total,
+                failed_total=report.failed_total,
+                unassigned_total=report.unassigned_total,
+            )
+        else:
+            row.update(
+                expected_reward=allocation.expected_reward(inst),
+                actual_reward_mean="",
+                actual_reward_std="",
+                finish_rate="",
+                served_total="",
+                failed_total="",
+                unassigned_total="",
+            )
+        rows.append(row)
+    return rows
+
+
+@dataclass
+class ExperimentResult:
+    rows: list[dict]
+    errors: list[dict] = field(default_factory=list)
+
+
+def _cell_jobs(cfg: ExperimentConfig):
+    jobs = []
+    for cell, (n, m) in enumerate(cfg.dimensions):
+        for s_idx, sigma in enumerate(cfg.sigma_grid):
+            for i in range(cfg.instances_per_cell):
+                seed = derive_seed(cfg.master_seed, cell, s_idx, i)
+                jobs.append((n, m, sigma, seed))
+    return jobs
+
+
+def _run_job(args):
+    cfg, n, m, sigma, seed = args
+    return run_cell_instance(cfg, n, m, sigma, seed)
+
+
+def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
+    """Sweep dimensions x sigma x instances; failures are recorded, not fatal."""
+    jobs = _cell_jobs(cfg)
+    workers = int(os.environ.get("MDPAUCTION_WORKERS", "1") or 1)
+    rows: list[dict] = []
+    errors: list[dict] = []
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = pool.map(_run_job, [(cfg, *job) for job in jobs])
+            for job, result in zip(jobs, results):
+                rows.extend(result)
+    else:
+        for job in jobs:
+            try:
+                rows.extend(run_cell_instance(cfg, *job))
+            except Exception as err:  # noqa: BLE001 - sweep must survive bad cells
+                errors.append(
+                    {"n_tasks": job[0], "n_agents": job[1], "sigma_v_sq": job[2],
+                     "instance_seed": job[3], "error": f"{type(err).__name__}: {err}"}
+                )
+    return ExperimentResult(rows=rows, errors=errors)
+
+
+def rows_to_csv(rows: list[dict], include_wall: bool = True) -> str:
+    columns = [
+        c for c in CSV_COLUMNS if include_wall or c not in WALL_COLUMNS
+    ]
+    buffer = io.StringIO()
+    writer = csv.DictWriter(buffer, fieldnames=columns, extrasaction="ignore", lineterminator="\n")
+    writer.writeheader()
+    for row in rows:
+        formatted = {}
+        for c in columns:
+            v = row.get(c, "")
+            if isinstance(v, float):
+                v = repr(v)
+            formatted[c] = v
+        writer.writerow(formatted)
+    return buffer.getvalue()
+
+
+def strip_wall_columns(csv_text: str) -> str:
+    """Drop wall-time columns so reruns can be compared byte for byte."""
+    reader = csv.reader(io.StringIO(csv_text))
+    rows = list(reader)
+    if not rows:
+        return csv_text
+    keep = [i for i, name in enumerate(rows[0]) if name not in WALL_COLUMNS]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    for row in rows:
+        writer.writerow([row[i] for i in keep])
+    return out.getvalue()
+
+
+def optimality_study(
+    count: int = 200,
+    seed: int = 0,
+    n_tasks: int = 4,
+    n_agents: int = 2,
+    sigma_grid: tuple[float, ...] = (0.0, 0.1),
+) -> list[dict]:
+    """Auction value against the brute-force optimum on small instances.
+
+    The ratio uses the same value tables on both sides. Optimum 0 with auction
+    value 0 counts as ratio 1.
+    """
+    rows = []
+    for i in range(count):
+        sigma = sigma_grid[i % len(sigma_grid)]
+        inst_seed = derive_seed(seed, 2, i)
+        inst = generate_instance(
+            GenerationConfig(
+                n_tasks=n_tasks, n_agents=n_agents, sigma_v_sq=sigma, seed=inst_seed
+            )
+        )
+        nodes = 1 if sigma == 0.0 else 8
+        solver = ValueSolver(inst, quadrature_nodes=nodes)
+        allocation = run_auction(inst, solver=solver)
+        auction_value = allocation.expected_reward(inst)
+        opt_value, _ = brute_force_opt(inst, solver=solver)
+        if opt_value <= 0.0:
+            ratio = 1.0 if auction_value >= opt_value else 0.0
+        else:
+            ratio = auction_value / opt_value
+        rows.append(
+            {
+                "instance_seed": inst_seed,
+                "sigma_v_sq": sigma,
+                "auction_value": auction_value,
+                "opt_value": opt_value,
+                "ratio": ratio,
+            }
+        )
+    return rows
+
+
+def submodularity_study(
+    count: int = 100,
+    seed: int = 0,
+    n_tasks: int = 3,
+    quadrature_nodes: int = 2,
+    sigma_grid: tuple[float, ...] = (0.05, 0.1, 0.2),
+) -> dict:
+    """Screen tiny instances for scenario-wise route-reward submodularity, then
+    check the expected value table on the ones that pass.
+
+    Generation keeps drawing until `count` instances pass the screen.
+    """
+    screened = 0
+    checked = 0
+    violations = 0
+    worst = 0.0
+    witnesses = []
+    draw = 0
+    while checked < count:
+        sigma = sigma_grid[draw % len(sigma_grid)]
+        inst_seed = derive_seed(seed, 3, draw)
+        draw += 1
+        inst = generate_instance(
+            GenerationConfig(
+                n_tasks=n_tasks, n_agents=1, sigma_v_sq=sigma, seed=inst_seed
+            )
+        )
+        screened += 1
+        if not classify_r_submodular(inst, quadrature_nodes=quadrature_nodes):
+            continue
+        solver = ValueSolver(inst, quadrature_nodes=quadrature_nodes)
+        report = check_submodularity_V(inst, solver=solver, max_set=n_tasks)
+        checked += 1
+        if not report.ok:
+            violations += report.violations
+            worst = max(worst, report.worst)
+            witnesses.append({"instance_seed": inst_seed, "sigma_v_sq": sigma,
+                              "witness": report.witnesses[0]})
+        if screened > 60 * count:
+            raise RuntimeError("screen pass rate too low; widen the study")
+    return {
+        "screened": screened,
+        "checked": checked,
+        "violations": violations,
+        "worst": worst,
+        "witnesses": witnesses,
+    }
+
+
+def convergence_study(
+    count: int = 500,
+    seed: int = 0,
+    topologies: tuple[str, ...] = ("complete", "ring", "line"),
+    n_agents: int = 4,
+    wrapping: bool = True,
+) -> list[dict]:
+    """Rounds-to-converge for the auction across network shapes."""
+    rows = []
+    builders = {
+        "complete": NetworkModel.complete,
+        "ring": NetworkModel.ring,
+        "line": NetworkModel.line,
+    }
+    per_topology = count // len(topologies) + (count % len(topologies) > 0)
+    for t_idx, topology in enumerate(topologies):
+        network = builders[topology](n_agents)
+        for i in range(per_topology):
+            inst_seed = derive_seed(seed, 7, t_idx, i)
+            sigma = (0.0, 0.1)[i % 2]
+            n = 2 + (i % 4)
+            inst = generate_instance(
+                GenerationConfig(
+                    n_tasks=n, n_agents=n_agents, sigma_v_sq=sigma, seed=inst_seed
+                )
+            )
+            nodes = 1 if sigma == 0.0 else 4
+            solver = ValueSolver(inst, quadrature_nodes=nodes)
+            allocation = run_auction(
+                inst, network=network, solver=solver, wrapping=wrapping
+            )
+            rows.append(
+                {
+                    "topology": topology,
+                    "diameter": network.diameter,
+                    "n_tasks": n,
+                    "instance_seed": inst_seed,
+                    "rounds": allocation.rounds_to_converge,
+                    "bound": n * network.diameter,
+                    "converged": allocation.converged,
+                    "oscillating": len(allocation.oscillating_tasks),
+                }
+            )
+    return rows[:count] if len(rows) > count else rows
+
+
+def bench_complexity(
+    n_values: tuple[int, ...] = (2, 3, 4, 5),
+    n_agents: int = 2,
+    seed: int = 0,
+    robust_samples: int = 100,
+    repeats: int = 3,
+    instances_per_n: int = 5,
+) -> list[dict]:
+    """Score-evaluation counters and wall times per method as tasks grow.
+
+    Runs at sigma^2 = 0 so the deterministic and robust insertion baselines
+    walk identical decision paths and the counter ratio is exactly the sample
+    count. Counters and wall times sum over `instances_per_n` instances so a
+    single instance's convergence-round draw doesn't dominate the trend; each
+    instance's wall contribution is the minimum over `repeats` runs.
+    """
+    rows = []
+    cfg = ExperimentConfig(robust_samples=robust_samples, master_seed=seed,
+                           rollout_rounds=0)
+    for n in n_values:
+        totals = {
+            method: {"evaluations": 0, "setup_wall_s": 0.0,
+                     "coordination_wall_s": 0.0}
+            for method in ("auction", "cbba", "robust-cbba")
+        }
+        network = NetworkModel.complete(n_agents)
+        first_seed = None
+        for k in range(instances_per_n):
+            inst_seed = derive_seed(seed, 6, n, k)
+            if first_seed is None:
+                first_seed = inst_seed
+            inst = generate_instance(
+                GenerationConfig(
+                    n_tasks=n, n_agents=n_agents, sigma_v_sq=0.0, seed=inst_seed
+                )
+            )
+            for method, stats in totals.items():
+                best_setup, best_coord = math.inf, math.inf
+                allocation = None
+                for _ in range(repeats):
+                    allocation, _, setup_s, coord_s = _coordinate(
+                        inst, method, cfg, network
+                    )
+                    best_setup = min(best_setup, setup_s)
+                    best_coord = min(best_coord, coord_s)
+                stats["evaluations"] += allocation.score_evaluations
+                stats["setup_wall_s"] += best_setup
+                stats["coordination_wall_s"] += best_coord
+        for method, stats in totals.items():
+            rows.append(
+                {
+                    "n_tasks": n,
+                    "n_agents": n_agents,
+                    "instance_seed": first_seed,
+                    "method": method,
+                    "score_evaluations": stats["evaluations"],
+                    "setup_wall_s": stats["setup_wall_s"],
+                    "coordination_wall_s": stats["coordination_wall_s"],
+                    "total_wall_s": stats["setup_wall_s"]
+                    + stats["coordination_wall_s"],
+                }
+            )
+    return rows

@@ -1,0 +1,448 @@
+"""Task-constrained value functions via backward induction over subsets.
+
+An agent holding task set G faces states (remaining, location, time). Serving a
+remaining task flies there at a random speed, succeeds iff the (grid-snapped)
+arrival is no later than the task's due time, waits for the ready time if
+early, collects the price, and spends the service duration. Skipping removes a
+task for free; Finish ends the episode. Speed uncertainty enters through a
+fixed quadrature rule; the value is the expectation over nodes of the optimal
+continuation.
+
+The table is indexed by (remaining-subset bitmask, location, time bin). Times
+are snapped UP to the grid once per serve: the window check uses the snapped
+arrival (conservative), the timeline accumulates exact minutes and the child
+bin is ceil((max(arrival, t_r) + tau) / delta). A schedule feasible with
+delta * |G| minutes of slack everywhere therefore stays feasible on the grid.
+Values at any subset of G can be read from one table because the recursion
+never references tasks outside `remaining`.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+from typing import Iterable
+
+import numpy as np
+
+from .instance import AgentSpec, MissionInstance, SpeedModel, distance
+
+SUBSET_CAP = 12
+
+SERVE, SKIP, FINISH = "serve", "skip", "finish"
+
+
+@dataclass(frozen=True)
+class QuadratureRule:
+    """Speed nodes and probability weights; weights sum to 1."""
+
+    speeds: tuple[float, ...]
+    weights: tuple[float, ...]
+
+    def __len__(self) -> int:
+        return len(self.speeds)
+
+
+def build_quadrature(speed: SpeedModel, node_count: int) -> QuadratureRule:
+    """Gauss-Hermite rule for the truncated speed distribution.
+
+    Nodes are mapped through N(mean, variance), censored at the truncation
+    floor, and the weights renormalized to sum to one exactly.
+    """
+    if node_count < 1:
+        raise ValueError(f"node_count must be >= 1, got {node_count}")
+    if speed.variance == 0.0:
+        if node_count == 1:
+            return QuadratureRule((speed.mean,), (1.0,))
+        nodes = (speed.mean,) * node_count
+        weights = _hermite_weights(node_count)
+        return QuadratureRule(nodes, weights)
+    x, w = np.polynomial.hermite.hermgauss(node_count)
+    speeds = speed.mean + math.sqrt(2.0) * speed.std * x
+    speeds = np.maximum(speeds, speed.truncation_floor)
+    w = w / w.sum()
+    return QuadratureRule(tuple(float(v) for v in speeds), tuple(float(v) for v in w))
+
+
+def _hermite_weights(node_count: int) -> tuple[float, ...]:
+    _, w = np.polynomial.hermite.hermgauss(node_count)
+    w = w / w.sum()
+    return tuple(float(v) for v in w)
+
+
+@dataclass(frozen=True)
+class AgentState:
+    """Where an agent stands: minutes elapsed, location index, unresolved tasks.
+
+    `at` uses instance location indexing (0 = depot, j+1 = task j);
+    `remaining` holds task ids.
+    """
+
+    time: float
+    at: int
+    remaining: frozenset[int]
+
+    def __init__(self, time: float, at: int, remaining: Iterable[int]):
+        object.__setattr__(self, "time", float(time))
+        object.__setattr__(self, "at", int(at))
+        object.__setattr__(self, "remaining", frozenset(int(j) for j in remaining))
+
+
+@dataclass(frozen=True)
+class Action:
+    kind: str
+    task_id: int | None = None
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """Realized speed per ordered location pair (instance location indexing)."""
+
+    speeds: np.ndarray  # shape (L, L)
+
+    def speed(self, from_index: int, to_index: int) -> float:
+        return float(self.speeds[from_index, to_index])
+
+
+def mean_scenario(inst: MissionInstance) -> Scenario:
+    n = inst.n_tasks + 1
+    mean = inst.agents[0].speed.mean if inst.agents else 1.0
+    return Scenario(np.full((n, n), mean))
+
+
+@dataclass
+class ValueTable:
+    """Backward-induction output for one agent over an allocated task set."""
+
+    agent_id: int
+    task_ids: tuple[int, ...]  # sorted global ids; local index = position
+    horizon: float
+    grid_step: float
+    quad: QuadratureRule
+    values: np.ndarray  # (2^k, k+1, T+2); last time slot is the beyond-horizon 0
+    policy: np.ndarray  # (2^k, k+1, T+1) int16 coded actions
+    origin: "Location"
+    tasks: tuple  # Task objects aligned with task_ids
+    _local: dict[int, int] = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        self._local = {j: a for a, j in enumerate(self.task_ids)}
+
+    @property
+    def time_bins(self) -> int:
+        return self.policy.shape[2]
+
+    def mask_of(self, remaining: Iterable[int]) -> int:
+        mask = 0
+        for j in remaining:
+            if j not in self._local:
+                raise ValueError(f"task {j} is not in this table's allocated set")
+            mask |= 1 << self._local[j]
+        return mask
+
+    def loc_of(self, at: int) -> int:
+        if at == 0:
+            return 0
+        j = at - 1
+        if j not in self._local:
+            raise ValueError(f"location index {at} is not covered by this table")
+        return 1 + self._local[j]
+
+    def bin_of(self, time: float) -> int:
+        if time < 0.0 or not math.isfinite(time):
+            raise ValueError(f"time {time} is out of range")
+        return int(math.ceil(time / self.grid_step))
+
+    def decode(self, code: int) -> Action:
+        k = len(self.task_ids)
+        if code < k:
+            return Action(SERVE, self.task_ids[code])
+        if code < 2 * k:
+            return Action(SKIP, self.task_ids[code - k])
+        return Action(FINISH)
+
+
+def solve_value(
+    inst: MissionInstance,
+    agent: AgentSpec,
+    allocated: Iterable[int],
+    quad: QuadratureRule | None = None,
+    grid_step: float = 1.0,
+    subset_cap: int = SUBSET_CAP,
+) -> ValueTable:
+    """Solve the subset DP for `allocated` and return the full value table."""
+    if grid_step <= 0.0:
+        raise ValueError(f"grid_step must be > 0, got {grid_step}")
+    task_ids = tuple(sorted(set(int(j) for j in allocated)))
+    for j in task_ids:
+        if not (0 <= j < inst.n_tasks):
+            raise ValueError(f"unknown task id {j}")
+    k = len(task_ids)
+    if k > subset_cap:
+        raise ValueError(f"|allocated| = {k} exceeds the subset cap {subset_cap}")
+    if quad is None:
+        # one node suffices at zero variance and keeps sums exact
+        quad = build_quadrature(agent.speed, 1 if agent.speed.variance == 0.0 else 8)
+
+    delta = float(grid_step)
+    T = int(math.floor(inst.horizon / delta))  # bins 0..T are within the horizon
+    n_bins = T + 1
+    n_loc = k + 1
+    tasks = [inst.tasks[j] for j in task_ids]
+    locations = [agent.start] + [t.location for t in tasks]
+
+    # Transition tensors per (source location, local task, node): child bins and
+    # success masks over every departure bin. Index T+1 is the terminal pad.
+    t_minutes = np.arange(n_bins) * delta
+    nq = len(quad)
+    serve_child = np.empty((n_loc, k, nq, n_bins), dtype=np.int32)
+    fail_child = np.empty_like(serve_child)
+    succeeds = np.empty((n_loc, k, nq, n_bins), dtype=bool)
+    for src in range(n_loc):
+        for a, task in enumerate(tasks):
+            dist = distance(locations[src], task.location)
+            for q, speed in enumerate(quad.speeds):
+                arrival = t_minutes + dist / speed
+                arrival_bin = np.ceil(arrival / delta).astype(np.int64)
+                ok = arrival_bin * delta <= task.due_time
+                child = np.ceil(
+                    (np.maximum(arrival, task.ready_time) + task.service_duration)
+                    / delta
+                ).astype(np.int64)
+                succeeds[src, a, q] = ok
+                serve_child[src, a, q] = np.minimum(child, T + 1)
+                fail_child[src, a, q] = np.minimum(arrival_bin, T + 1)
+
+    weights = np.asarray(quad.weights)
+    prices = [t.price for t in tasks]
+    values = np.zeros((1 << k, n_loc, n_bins + 1))
+    policy = np.full((1 << k, n_loc, n_bins), 2 * k, dtype=np.int16)
+
+    for mask in sorted(range(1, 1 << k), key=lambda m: m.bit_count()):
+        members = [a for a in range(k) if mask & (1 << a)]
+        for src in range(n_loc):
+            # Candidate rows in tie-break priority order: Serve by ascending
+            # task id, then Skip, then Finish. argmax picks the first maximum.
+            rows = np.zeros((2 * len(members) + 1, n_bins))
+            codes = np.empty(2 * len(members) + 1, dtype=np.int16)
+            for r, a in enumerate(members):
+                child = values[mask ^ (1 << a), 1 + a]
+                acc = rows[r]
+                for q in range(nq):
+                    gain = np.where(
+                        succeeds[src, a, q],
+                        prices[a] + child[serve_child[src, a, q]],
+                        child[fail_child[src, a, q]],
+                    )
+                    acc += weights[q] * gain
+                codes[r] = a
+            for r, a in enumerate(members):
+                rows[len(members) + r] = values[mask ^ (1 << a), src, :n_bins]
+                codes[len(members) + r] = k + a
+            codes[-1] = 2 * k
+            best = rows.argmax(axis=0)
+            values[mask, src, :n_bins] = rows[best, np.arange(n_bins)]
+            policy[mask, src] = codes[best]
+
+    return ValueTable(
+        agent_id=agent.id,
+        task_ids=task_ids,
+        horizon=inst.horizon,
+        grid_step=delta,
+        quad=quad,
+        values=values,
+        policy=policy,
+        origin=agent.start,
+        tasks=tuple(tasks),
+    )
+
+
+def value_of(table: ValueTable, state: AgentState) -> float:
+    """Expected reward-to-go at `state`; 0 beyond the horizon."""
+    mask = table.mask_of(state.remaining)
+    loc = table.loc_of(state.at)
+    b = table.bin_of(state.time)
+    if b >= table.time_bins:
+        return 0.0
+    return float(table.values[mask, loc, b])
+
+
+def next_action(table: ValueTable, state: AgentState) -> Action:
+    """The stored argmax action; Finish beyond the horizon or with nothing left."""
+    mask = table.mask_of(state.remaining)
+    loc = table.loc_of(state.at)
+    b = table.bin_of(state.time)
+    if b >= table.time_bins or mask == 0:
+        return Action(FINISH)
+    return table.decode(int(table.policy[mask, loc, b]))
+
+
+def action_value(table: ValueTable, state: AgentState, action: Action) -> float:
+    """Recompute one action's expected value from the table's children.
+
+    Mirrors the solver's arithmetic (same per-node accumulation order), so on
+    stored states max over legal actions reproduces the stored value exactly.
+    """
+    mask = table.mask_of(state.remaining)
+    loc = table.loc_of(state.at)
+    b = table.bin_of(state.time)
+    if b >= table.time_bins:
+        raise ValueError("state lies beyond the horizon")
+    if action.kind == FINISH:
+        return 0.0
+    j = action.task_id
+    if j is None or j not in state.remaining:
+        raise ValueError(f"task {j} is not available at this state")
+    a = table.task_ids.index(j)
+    child_mask = mask ^ (1 << a)
+    if action.kind == SKIP:
+        return float(table.values[child_mask, loc, b])
+    if action.kind != SERVE:
+        raise ValueError(f"unknown action kind {action.kind!r}")
+    task = table.tasks[a]
+    src = table.origin if loc == 0 else table.tasks[loc - 1].location
+    dist = distance(src, task.location)
+    delta = table.grid_step
+    T = table.time_bins - 1
+    child = table.values[child_mask, 1 + a]
+    t = b * delta
+    acc = 0.0
+    for q, speed in enumerate(table.quad.speeds):
+        arrival = t + dist / speed
+        arrival_bin = int(np.ceil(arrival / delta))
+        if arrival_bin * delta <= task.due_time:
+            nxt = int(
+                np.ceil((max(arrival, task.ready_time) + task.service_duration) / delta)
+            )
+            gain = task.price + child[min(nxt, T + 1)]
+        else:
+            gain = child[min(arrival_bin, T + 1)]
+        acc += table.quad.weights[q] * gain
+    return float(acc)
+
+
+class ValueSolver:
+    """Shared value-table cache plus marginal-gain instrumentation.
+
+    One table over the full task set answers every subset query (the recursion
+    never looks outside `remaining`), so marginal gains V(b + j) - V(b) are two
+    lookups. `evaluations` counts marginals per agent, which is the score
+    accounting the coordination layer reports.
+    """
+
+    def __init__(
+        self,
+        inst: MissionInstance,
+        quadrature_nodes: int = 8,
+        grid_step: float = 1.0,
+        subset_cap: int = SUBSET_CAP,
+    ):
+        if quadrature_nodes < 1:
+            raise ValueError("quadrature_nodes must be >= 1")
+        self.instance = inst
+        self.quadrature_nodes = quadrature_nodes
+        self.grid_step = float(grid_step)
+        self.subset_cap = subset_cap
+        self.evaluations: dict[int, int] = {a.id: 0 for a in inst.agents}
+        self._tables: dict[tuple[int, tuple[int, ...]], ValueTable] = {}
+        self._quads: dict[int, QuadratureRule] = {}
+
+    @property
+    def total_evaluations(self) -> int:
+        return sum(self.evaluations.values())
+
+    def quadrature(self, agent: AgentSpec) -> QuadratureRule:
+        rule = self._quads.get(agent.id)
+        if rule is None:
+            # zero variance collapses to the exact single node whatever Q is
+            nodes = 1 if agent.speed.variance == 0.0 else self.quadrature_nodes
+            rule = build_quadrature(agent.speed, nodes)
+            self._quads[agent.id] = rule
+        return rule
+
+    def table(self, agent: AgentSpec, allocated: Iterable[int] | None = None) -> ValueTable:
+        """A table covering `allocated` (the full task set when it fits the cap)."""
+        if allocated is None:
+            allocated = range(self.instance.n_tasks)
+        wanted = tuple(sorted(set(int(j) for j in allocated)))
+        if self.instance.n_tasks <= self.subset_cap:
+            ground = tuple(range(self.instance.n_tasks))
+        else:
+            ground = wanted
+        key = (agent.id, ground)
+        tab = self._tables.get(key)
+        if tab is None:
+            tab = solve_value(
+                self.instance,
+                agent,
+                ground,
+                quad=self.quadrature(agent),
+                grid_step=self.grid_step,
+                subset_cap=self.subset_cap,
+            )
+            self._tables[key] = tab
+        return tab
+
+    def set_value(self, agent: AgentSpec, task_set: Iterable[int]) -> float:
+        """V at the agent's start state holding exactly `task_set`."""
+        tasks = frozenset(int(j) for j in task_set)
+        table = self.table(agent, tasks)
+        return value_of(table, AgentState(0.0, 0, tasks))
+
+    def marginal_gain(self, agent: AgentSpec, base: Iterable[int], task_id: int) -> float:
+        """V(base + task) - V(base); counts one evaluation for the agent."""
+        base = frozenset(int(j) for j in base)
+        if task_id in base:
+            raise ValueError(f"task {task_id} is already in the base set")
+        self.evaluations[agent.id] = self.evaluations.get(agent.id, 0) + 1
+        with_task = self.set_value(agent, base | {task_id})
+        without = self.set_value(agent, base)
+        return with_task - without
+
+    def action_value(self, agent: AgentSpec, state: AgentState, action: Action) -> float:
+        """Expected value of one action, recomputed from table children."""
+        return action_value(self.table(agent, state.remaining), state, action)
+
+
+def deterministic_route_reward(
+    inst: MissionInstance,
+    agent: AgentSpec,
+    allocated: Iterable[int],
+    scenario: Scenario,
+    start_time: float = 0.0,
+    due_slack: float = 0.0,
+) -> float:
+    """Clairvoyant optimum with travel times fixed by the scenario.
+
+    Continuous time, no quadrature, no grid. Serving order is optimized
+    exactly by branching over which remaining task to serve next; skipping is
+    implicit (unserved tasks are simply never visited). `due_slack` tightens
+    every due time, which turns the result into the grid DP's lower bracket.
+    """
+    task_ids = sorted(set(int(j) for j in allocated))
+    tasks = [inst.tasks[j] for j in task_ids]
+    k = len(tasks)
+    locs = [agent.start] + [t.location for t in tasks]
+    dist = [[distance(a, b) for b in locs] for a in locs]
+    loc_index = [0] + [j + 1 for j in task_ids]  # scenario rows for depot + tasks
+
+    def best(mask: int, src: int, t: float) -> float:
+        out = 0.0
+        for a in range(k):
+            bit = 1 << a
+            if not mask & bit:
+                continue
+            task = tasks[a]
+            speed = scenario.speed(loc_index[src], loc_index[1 + a])
+            arrival = t + dist[src][1 + a] / speed
+            if arrival <= task.due_time - due_slack:
+                served = task.price + best(
+                    mask ^ bit, 1 + a, max(arrival, task.ready_time) + task.service_duration
+                )
+            else:
+                served = best(mask ^ bit, 1 + a, arrival)
+            if served > out:
+                out = served
+        return out
+
+    return best((1 << k) - 1, 0, float(start_time))
