@@ -403,33 +403,36 @@ def _cell_jobs(cfg: ExperimentConfig):
     return jobs
 
 
-def _run_job(args):
+def _run_job(args) -> tuple[list[dict], dict | None]:
+    """(rows, None) for a job that ran, ([], error record) for one that raised."""
     cfg, n, m, sigma, seed = args
-    return run_cell_instance(cfg, n, m, sigma, seed)
+    try:
+        return run_cell_instance(cfg, n, m, sigma, seed), None
+    except Exception as err:  # noqa: BLE001 - sweep must survive bad cells
+        return [], {"n_tasks": n, "n_agents": m, "sigma_v_sq": sigma,
+                    "instance_seed": seed, "error": f"{type(err).__name__}: {err}"}
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Sweep dimensions x sigma x instances; failures are recorded, not fatal."""
-    jobs = _cell_jobs(cfg)
+    """Sweep dimensions x sigma x instances; failures are recorded, not fatal.
+
+    Serial and parallel runs return the same rows and the same error records.
+    """
+    jobs = [(cfg, *job) for job in _cell_jobs(cfg)]
     workers = int(os.environ.get("MDPAUCTION_WORKERS", "1") or 1)
-    rows: list[dict] = []
-    errors: list[dict] = []
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(_run_job, [(cfg, *job) for job in jobs])
-            for job, result in zip(jobs, results):
-                rows.extend(result)
+            results = list(pool.map(_run_job, jobs))
     else:
-        for job in jobs:
-            try:
-                rows.extend(run_cell_instance(cfg, *job))
-            except Exception as err:  # noqa: BLE001 - sweep must survive bad cells
-                errors.append(
-                    {"n_tasks": job[0], "n_agents": job[1], "sigma_v_sq": job[2],
-                     "instance_seed": job[3], "error": f"{type(err).__name__}: {err}"}
-                )
+        results = [_run_job(job) for job in jobs]
+    rows: list[dict] = []
+    errors: list[dict] = []
+    for job_rows, error in results:
+        rows.extend(job_rows)
+        if error is not None:
+            errors.append(error)
     return ExperimentResult(rows=rows, errors=errors)
 
 

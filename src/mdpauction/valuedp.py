@@ -25,9 +25,10 @@ from typing import Iterable
 
 import numpy as np
 
-from .instance import AgentSpec, MissionInstance, SpeedModel, distance
+from .instance import AgentSpec, Location, MissionInstance, SpeedModel, distance
 
 SUBSET_CAP = 12
+LAYER_BLOCK_CELLS = 1 << 18  # (mask, location, bin) cells per layer-pass block
 
 SERVE, SKIP, FINISH = "serve", "skip", "finish"
 
@@ -112,16 +113,19 @@ def mean_scenario(inst: MissionInstance) -> Scenario:
 
 @dataclass
 class ValueTable:
-    """Backward-induction output for one agent over an allocated task set."""
+    """Backward-induction output over an allocated task set.
 
-    agent_id: int
+    It depends on the agent only through its start and speed model, so agents
+    that share both can share the table.
+    """
+
     task_ids: tuple[int, ...]  # sorted global ids; local index = position
     horizon: float
     grid_step: float
     quad: QuadratureRule
     values: np.ndarray  # (2^k, k+1, T+2); last time slot is the beyond-horizon 0
     policy: np.ndarray  # (2^k, k+1, T+1) int16 coded actions
-    origin: "Location"
+    origin: Location
     tasks: tuple  # Task objects aligned with task_ids
     _local: dict[int, int] = field(default_factory=dict, repr=False)
 
@@ -170,7 +174,28 @@ def solve_value(
     grid_step: float = 1.0,
     subset_cap: int = SUBSET_CAP,
 ) -> ValueTable:
-    """Solve the subset DP for `allocated` and return the full value table."""
+    """Solve the subset DP for `allocated` and return the full value table.
+
+    The backward pass handles one popcount layer of remaining-sets at a time,
+    vectorised over the layer's masks, every source location and every time
+    bin, in blocks of at most LAYER_BLOCK_CELLS (mask, location, bin) cells
+    (one mask if a mask alone holds more). Each cell repeats the per-state
+    recursion's arithmetic: a Serve value accumulates
+    `acc += w[q] * (child + collected)` node by node, and the action is the
+    first maximum over Serve by task id, Skip by task id, then Finish. With
+    the nonnegative weights of any rule `build_quadrature` makes, values and
+    policy codes are bit-identical to a per-state loop, and every state is
+    stored, reachable from the start or not.
+
+    Scratch memory beyond the returned table, with Q quadrature nodes, T+1
+    time bins and C = max(LAYER_BLOCK_CELLS, (k+1)(T+1)) cells per block, is
+    at most 12*k*Q*(k+1)*(T+1) + 48*C + 32*2^k + 65536 bytes: an int32 child
+    bin and a float64 collected price per (task, node, source, bin), under 48
+    bytes per block cell for the running maximum, its action codes and one
+    candidate row (or one (task, node) pair's temporaries while the
+    transitions are built), a few integer arrays over the masks, and Python
+    object overhead.
+    """
     if grid_step <= 0.0:
         raise ValueError(f"grid_step must be > 0, got {grid_step}")
     task_ids = tuple(sorted(set(int(j) for j in allocated)))
@@ -191,61 +216,20 @@ def solve_value(
     tasks = [inst.tasks[j] for j in task_ids]
     locations = [agent.start] + [t.location for t in tasks]
 
-    # Transition tensors per (source location, local task, node): child bins and
-    # success masks over every departure bin. Index T+1 is the terminal pad.
-    t_minutes = np.arange(n_bins) * delta
-    nq = len(quad)
-    serve_child = np.empty((n_loc, k, nq, n_bins), dtype=np.int32)
-    fail_child = np.empty_like(serve_child)
-    succeeds = np.empty((n_loc, k, nq, n_bins), dtype=bool)
-    for src in range(n_loc):
-        for a, task in enumerate(tasks):
-            dist = distance(locations[src], task.location)
-            for q, speed in enumerate(quad.speeds):
-                arrival = t_minutes + dist / speed
-                arrival_bin = np.ceil(arrival / delta).astype(np.int64)
-                ok = arrival_bin * delta <= task.due_time
-                child = np.ceil(
-                    (np.maximum(arrival, task.ready_time) + task.service_duration)
-                    / delta
-                ).astype(np.int64)
-                succeeds[src, a, q] = ok
-                serve_child[src, a, q] = np.minimum(child, T + 1)
-                fail_child[src, a, q] = np.minimum(arrival_bin, T + 1)
-
+    child_bin, collected = _serve_transitions(tasks, locations, quad, delta, T)
     weights = np.asarray(quad.weights)
-    prices = [t.price for t in tasks]
     values = np.zeros((1 << k, n_loc, n_bins + 1))
     policy = np.full((1 << k, n_loc, n_bins), 2 * k, dtype=np.int16)
-
-    for mask in sorted(range(1, 1 << k), key=lambda m: m.bit_count()):
-        members = [a for a in range(k) if mask & (1 << a)]
-        for src in range(n_loc):
-            # Candidate rows in tie-break priority order: Serve by ascending
-            # task id, then Skip, then Finish. argmax picks the first maximum.
-            rows = np.zeros((2 * len(members) + 1, n_bins))
-            codes = np.empty(2 * len(members) + 1, dtype=np.int16)
-            for r, a in enumerate(members):
-                child = values[mask ^ (1 << a), 1 + a]
-                acc = rows[r]
-                for q in range(nq):
-                    gain = np.where(
-                        succeeds[src, a, q],
-                        prices[a] + child[serve_child[src, a, q]],
-                        child[fail_child[src, a, q]],
-                    )
-                    acc += weights[q] * gain
-                codes[r] = a
-            for r, a in enumerate(members):
-                rows[len(members) + r] = values[mask ^ (1 << a), src, :n_bins]
-                codes[len(members) + r] = k + a
-            codes[-1] = 2 * k
-            best = rows.argmax(axis=0)
-            values[mask, src, :n_bins] = rows[best, np.arange(n_bins)]
-            policy[mask, src] = codes[best]
+    masks = np.arange(1 << k)
+    popcount = sum((masks >> a) & 1 for a in range(k))
+    per_block = max(1, LAYER_BLOCK_CELLS // (n_loc * n_bins))
+    for size in range(1, k + 1):
+        layer = masks[popcount == size]
+        for lo in range(0, layer.size, per_block):
+            _solve_block(values, policy, layer[lo : lo + per_block], child_bin,
+                         collected, weights)
 
     return ValueTable(
-        agent_id=agent.id,
         task_ids=task_ids,
         horizon=inst.horizon,
         grid_step=delta,
@@ -255,6 +239,75 @@ def solve_value(
         origin=agent.start,
         tasks=tuple(tasks),
     )
+
+
+def _serve_transitions(tasks, locations, quad, delta, T):
+    """Serve outcomes per (local task, node, source location, departure bin).
+
+    Returns the child bin to read (T+1 is the terminal pad) and the price
+    collected there (0.0 when the snapped arrival misses the due time).
+    """
+    shape = (len(tasks), len(quad), len(locations), T + 1)
+    child_bin = np.empty(shape, dtype=np.int32)
+    collected = np.empty(shape)
+    t_minutes = np.arange(T + 1) * delta
+    for a, task in enumerate(tasks):
+        dist = np.array([distance(src, task.location) for src in locations])
+        for q, speed in enumerate(quad.speeds):
+            arrival = t_minutes + (dist / speed)[:, None]
+            arrival_bin = np.ceil(arrival / delta).astype(np.int64)
+            ok = arrival_bin * delta <= task.due_time
+            served = np.ceil(
+                (np.maximum(arrival, task.ready_time) + task.service_duration) / delta
+            ).astype(np.int64)
+            np.minimum(np.where(ok, served, arrival_bin), T + 1, out=child_bin[a, q])
+            collected[a, q] = np.where(ok, task.price, 0.0)
+    return child_bin, collected
+
+
+def _solve_block(values, policy, masks, child_bin, collected, weights) -> None:
+    """Fill `values` and `policy` at `masks`, whose children are all solved."""
+    k, nq = child_bin.shape[:2]
+    n_bins = policy.shape[2]
+    best = np.full((masks.size,) + policy.shape[1:], -np.inf)
+    code = np.full(best.shape, 2 * k, dtype=np.int16)
+    acc = np.empty_like(best)
+    gain = np.empty_like(best)
+
+    def offer(row, at, row_code):
+        # strict > keeps the earlier candidate on ties, as argmax does
+        held = best[at]
+        better = row > held
+        np.copyto(held, row, where=better)
+        best[at] = held
+        codes = code[at]
+        np.copyto(codes, row_code, where=better)
+        code[at] = codes
+
+    # members[a]: positions in `masks` of the remaining-sets that hold task a
+    members = [np.flatnonzero(masks & (1 << a)) for a in range(k)]
+    for a, at in enumerate(members):  # Serve rows
+        if at.size:
+            child = values[masks[at] ^ (1 << a), 1 + a]
+            out, scratch = acc[: at.size], gain[: at.size]
+            # bins are always in range; "clip" lets take write `out` unbuffered
+            child.take(child_bin[a, 0], axis=1, out=out, mode="clip")
+            out += collected[a, 0]
+            out *= weights[0]
+            for q in range(1, nq):
+                child.take(child_bin[a, q], axis=1, out=scratch, mode="clip")
+                scratch += collected[a, q]
+                scratch *= weights[q]
+                out += scratch
+            offer(out, at, a)
+    for a, at in enumerate(members):  # Skip rows
+        if at.size:
+            offer(values[masks[at] ^ (1 << a), :, :n_bins], at, k + a)
+    finish = best < 0.0  # Finish (worth 0.0) comes last, so it needs strictly more
+    best[finish] = 0.0
+    code[finish] = 2 * k
+    values[masks, :, :n_bins] = best
+    policy[masks] = code
 
 
 def value_of(table: ValueTable, state: AgentState) -> float:
@@ -326,8 +379,10 @@ class ValueSolver:
 
     One table over the full task set answers every subset query (the recursion
     never looks outside `remaining`), so marginal gains V(b + j) - V(b) are two
-    lookups. `evaluations` counts marginals per agent, which is the score
-    accounting the coordination layer reports.
+    lookups. Tables are keyed by (start, speed model, ground set), so agents
+    that differ only in id or capacity share one solve. `evaluations` counts
+    marginals per agent, which is the score accounting the coordination layer
+    reports.
     """
 
     def __init__(
@@ -344,20 +399,21 @@ class ValueSolver:
         self.grid_step = float(grid_step)
         self.subset_cap = subset_cap
         self.evaluations: dict[int, int] = {a.id: 0 for a in inst.agents}
-        self._tables: dict[tuple[int, tuple[int, ...]], ValueTable] = {}
-        self._quads: dict[int, QuadratureRule] = {}
+        # keyed by (start, speed model, ground set)
+        self._tables: dict[tuple, ValueTable] = {}
+        self._quads: dict[SpeedModel, QuadratureRule] = {}
 
     @property
     def total_evaluations(self) -> int:
         return sum(self.evaluations.values())
 
     def quadrature(self, agent: AgentSpec) -> QuadratureRule:
-        rule = self._quads.get(agent.id)
+        rule = self._quads.get(agent.speed)
         if rule is None:
             # zero variance collapses to the exact single node whatever Q is
             nodes = 1 if agent.speed.variance == 0.0 else self.quadrature_nodes
             rule = build_quadrature(agent.speed, nodes)
-            self._quads[agent.id] = rule
+            self._quads[agent.speed] = rule
         return rule
 
     def table(self, agent: AgentSpec, allocated: Iterable[int] | None = None) -> ValueTable:
@@ -369,7 +425,7 @@ class ValueSolver:
             ground = tuple(range(self.instance.n_tasks))
         else:
             ground = wanted
-        key = (agent.id, ground)
+        key = (agent.start, agent.speed, ground)
         tab = self._tables.get(key)
         if tab is None:
             tab = solve_value(

@@ -1,13 +1,16 @@
 """Independent value oracles shared by the unit and acceptance suites.
 
-All of them re-implement the transition semantics with scalar arithmetic and
-no lookup tables: arrivals snap up to the grid for the window check, the
+All but the last re-implement the transition semantics with scalar arithmetic
+and no lookup tables: arrivals snap up to the grid for the window check, the
 running clock keeps exact minutes, and the next decision bin is the ceiling
-of (service start + duration) / step.
+of (service start + duration) / step. The last, `scalar_value_tables`, is the
+per-state table solver kept as a bit-exact reference for the layer pass.
 """
 
 import itertools
 import math
+
+import numpy as np
 
 from mdpauction.instance import distance
 
@@ -105,3 +108,74 @@ def enumerate_schedules_continuous(inst, agent, allocated, scenario, slack=0.0):
                 here, here_idx = task.location, j + 1
             best = max(best, reward)
     return best
+
+
+def scalar_value_tables(inst, agent, allocated, quad, grid_step=1.0):
+    """Backward pass one (mask, source location) at a time.
+
+    This is the per-state loop `valuedp.solve_value` used before its layer
+    pass, kept as a differential oracle: it returns the (values, policy)
+    arrays with the solver's layout, and the solver must reproduce both bit
+    for bit on every cell, states unreachable from the start included.
+    """
+    delta = float(grid_step)
+    task_ids = sorted(set(allocated))
+    k = len(task_ids)
+    T = int(math.floor(inst.horizon / delta))
+    n_bins = T + 1
+    n_loc = k + 1
+    tasks = [inst.tasks[j] for j in task_ids]
+    locations = [agent.start] + [t.location for t in tasks]
+
+    t_minutes = np.arange(n_bins) * delta
+    nq = len(quad)
+    serve_child = np.empty((n_loc, k, nq, n_bins), dtype=np.int32)
+    fail_child = np.empty_like(serve_child)
+    succeeds = np.empty((n_loc, k, nq, n_bins), dtype=bool)
+    for src in range(n_loc):
+        for a, task in enumerate(tasks):
+            dist = distance(locations[src], task.location)
+            for q, speed in enumerate(quad.speeds):
+                arrival = t_minutes + dist / speed
+                arrival_bin = np.ceil(arrival / delta).astype(np.int64)
+                ok = arrival_bin * delta <= task.due_time
+                child = np.ceil(
+                    (np.maximum(arrival, task.ready_time) + task.service_duration)
+                    / delta
+                ).astype(np.int64)
+                succeeds[src, a, q] = ok
+                serve_child[src, a, q] = np.minimum(child, T + 1)
+                fail_child[src, a, q] = np.minimum(arrival_bin, T + 1)
+
+    weights = np.asarray(quad.weights)
+    prices = [t.price for t in tasks]
+    values = np.zeros((1 << k, n_loc, n_bins + 1))
+    policy = np.full((1 << k, n_loc, n_bins), 2 * k, dtype=np.int16)
+
+    for mask in sorted(range(1, 1 << k), key=lambda m: m.bit_count()):
+        members = [a for a in range(k) if mask & (1 << a)]
+        for src in range(n_loc):
+            # Candidate rows in tie-break priority order: Serve by ascending
+            # task id, then Skip, then Finish. argmax picks the first maximum.
+            rows = np.zeros((2 * len(members) + 1, n_bins))
+            codes = np.empty(2 * len(members) + 1, dtype=np.int16)
+            for r, a in enumerate(members):
+                child = values[mask ^ (1 << a), 1 + a]
+                acc = rows[r]
+                for q in range(nq):
+                    gain = np.where(
+                        succeeds[src, a, q],
+                        prices[a] + child[serve_child[src, a, q]],
+                        child[fail_child[src, a, q]],
+                    )
+                    acc += weights[q] * gain
+                codes[r] = a
+            for r, a in enumerate(members):
+                rows[len(members) + r] = values[mask ^ (1 << a), src, :n_bins]
+                codes[len(members) + r] = k + a
+            codes[-1] = 2 * k
+            best = rows.argmax(axis=0)
+            values[mask, src, :n_bins] = rows[best, np.arange(n_bins)]
+            policy[mask, src] = codes[best]
+
+    return values, policy

@@ -234,6 +234,24 @@ def test_run_experiment_shape_and_determinism():
     )
 
 
+def test_parallel_sweep_records_errors_like_serial(monkeypatch):
+    # n_agents=0 makes the second cell's instance generation raise
+    cfg = ExperimentConfig(dimensions=((2, 2), (2, 0)), sigma_grid=(0.1,),
+                           instances_per_cell=1, rollout_rounds=5,
+                           robust_samples=5, quadrature_nodes=2)
+    monkeypatch.delenv("MDPAUCTION_WORKERS", raising=False)
+    serial = run_experiment(cfg)
+    monkeypatch.setenv("MDPAUCTION_WORKERS", "2")
+    parallel = run_experiment(cfg)
+    assert len(serial.rows) == 3
+    assert [e["n_agents"] for e in serial.errors] == [0]
+    assert "n_agents must be >= 1" in serial.errors[0]["error"]
+    assert rows_to_csv(parallel.rows, include_wall=False) == rows_to_csv(
+        serial.rows, include_wall=False
+    )
+    assert parallel.errors == serial.errors
+
+
 def test_rows_to_csv_layout():
     cfg = small_config()
     rows = run_experiment(cfg).rows

@@ -1,5 +1,8 @@
+import dataclasses
 import itertools
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from mdpauction.instance import (
 )
 from mdpauction.valuedp import (
     FINISH,
+    LAYER_BLOCK_CELLS,
     SERVE,
     SKIP,
     Action,
@@ -50,6 +54,7 @@ from oracles import (  # noqa: E402
     adaptive_value_oracle,
     best_over_attempt_sequences,
     enumerate_schedules_continuous,
+    scalar_value_tables,
     simulate_attempt_sequence,
 )
 
@@ -198,6 +203,66 @@ def test_value_independent_of_ground_set():
         small = solve_value(inst, agent, subset, quad=quad)
         state = AgentState(remaining=subset, at=0, time=0.0)
         assert value_of(full, state) == value_of(small, state)
+
+
+# --- differential test against the per-state solver --------------------------
+
+
+def _differential_cases():
+    """(k, sigma^2, Q, grid step, duplicate task 0) per case; k=0 and k=1 first."""
+    rng = random.Random(20261017)
+    cases = [(0, 0.1, 8, 1.0, False), (1, 0.0, 1, 1.0, False),
+             (1, 0.3, 3, 0.5, False), (1, 0.05, 2, 3.7, False)]
+    while len(cases) < 120:
+        k = rng.randint(0, 8)
+        cases.append((k, rng.choice([0.0, 0.05, 0.1, 0.3]), rng.choice([1, 2, 3, 8]),
+                      rng.choice([0.5, 1.0, 2.0, 3.7]), k >= 2 and rng.random() < 0.25))
+    return cases
+
+
+DIFFERENTIAL_CASES = _differential_cases()
+
+
+@pytest.mark.parametrize("case", range(len(DIFFERENTIAL_CASES)))
+def test_layer_pass_bit_identical_to_scalar_solver(case):
+    # every cell is compared, (mask, location) pairs unreachable from the
+    # start included
+    k, sigma, q, grid, duplicate = DIFFERENTIAL_CASES[case]
+    inst = generate_instance(GenerationConfig(n_tasks=k + 2, n_agents=1,
+                                              sigma_v_sq=sigma, seed=1000 + case))
+    ids = sorted(random.Random(case).sample(range(inst.n_tasks), k))
+    if duplicate:
+        # an exact copy of task 0 forces ties between Serve rows
+        tasks = list(inst.tasks)
+        tasks[1] = dataclasses.replace(tasks[0], id=1)
+        inst = dataclasses.replace(inst, tasks=tasks)
+        ids = [0, 1] + sorted(random.Random(case).sample(range(2, k + 2), k - 2))
+    agent = inst.agents[0]
+    quad = build_quadrature(agent.speed, q)
+    table = solve_value(inst, agent, ids, quad=quad, grid_step=grid)
+    values, policy = scalar_value_tables(inst, agent, ids, quad, grid)
+    assert table.values.shape == values.shape
+    assert table.values.tobytes() == values.tobytes()
+    assert table.policy.dtype == policy.dtype
+    assert np.array_equal(table.policy, policy)
+
+
+def test_layer_pass_scratch_memory_bound():
+    # at a half-minute grid the largest layer (70 masks) spans three blocks
+    inst = random_small_instance(4, n=8, sigma=0.1)
+    agent = inst.agents[0]
+    quad = build_quadrature(agent.speed, 8)
+    tracemalloc.start()
+    try:
+        table = solve_value(inst, agent, range(8), quad=quad, grid_step=0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    k, nq, cells = 8, 8, 9 * table.time_bins
+    bound = (12 * k * nq * cells + 48 * max(LAYER_BLOCK_CELLS, cells)
+             + 32 * 2**k + 65536)  # as stated in the solve_value docstring
+    scratch = peak - table.values.nbytes - table.policy.nbytes
+    assert 0 < scratch <= bound, (scratch, bound)
 
 
 # --- Bellman max-Q identity ----------------------------------------------------
@@ -359,3 +424,68 @@ def test_solver_zero_variance_collapses_quadrature():
     solver = ValueSolver(inst, quadrature_nodes=8)
     assert solver.quadrature(inst.agents[0]).speeds == (1.0,)
     assert solver.quadrature(inst.agents[0]).weights == (1.0,)
+
+
+def _count_solves(monkeypatch):
+    """Count solve_value calls made through the module global."""
+    import mdpauction.valuedp as valuedp
+
+    calls = []
+    real = valuedp.solve_value
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].id)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(valuedp, "solve_value", counted)
+    return calls
+
+
+def test_solver_shares_table_across_identical_agents(monkeypatch):
+    inst = generate_instance(GenerationConfig(n_tasks=4, n_agents=3, sigma_v_sq=0.1,
+                                              seed=12))
+    # capacity does not enter the DP, so it must not split the cache either
+    agents = list(inst.agents)
+    agents[2] = dataclasses.replace(agents[2], capacity=agents[2].capacity + 1)
+    inst = dataclasses.replace(inst, agents=agents)
+    calls = _count_solves(monkeypatch)
+    solver = ValueSolver(inst, quadrature_nodes=4)
+    tables = [solver.table(a) for a in inst.agents]
+    assert calls == [0]
+    assert tables[0] is tables[1] is tables[2]
+    assert solver.quadrature(agents[0]) is solver.quadrature(agents[2])
+    assert not hasattr(tables[0], "agent_id")
+
+
+def test_solver_separates_start_and_speed_model(monkeypatch):
+    base = generate_instance(GenerationConfig(n_tasks=4, n_agents=3, sigma_v_sq=0.1,
+                                              seed=13))
+    a0 = base.agents[0]
+    moved = dataclasses.replace(base.agents[1], start=Location(a0.start.x + 7.0,
+                                                               a0.start.y))
+    slower = dataclasses.replace(
+        base.agents[2], speed=SpeedModel(mean=0.8, variance=0.1, truncation_floor=0.1)
+    )
+    inst = dataclasses.replace(base, agents=[a0, moved, slower])
+    calls = _count_solves(monkeypatch)
+    solver = ValueSolver(inst, quadrature_nodes=4)
+    tables = [solver.table(a) for a in inst.agents]
+    assert calls == [0, 1, 2]
+    assert len({id(t) for t in tables}) == 3
+    for agent, table in zip(inst.agents, tables):
+        own = solve_value(inst, agent, range(4), quad=solver.quadrature(agent))
+        assert table.values.tobytes() == own.values.tobytes()
+    assert solver.table(moved) is tables[1]
+    assert calls == [0, 1, 2]
+
+
+def test_solver_evaluations_stay_per_agent():
+    inst = generate_instance(GenerationConfig(n_tasks=3, n_agents=3, sigma_v_sq=0.0,
+                                              seed=14))
+    solver = ValueSolver(inst, quadrature_nodes=1)
+    a0, a1, _ = inst.agents
+    solver.marginal_gain(a0, (), 0)
+    solver.marginal_gain(a0, (0,), 1)
+    solver.marginal_gain(a1, (), 2)
+    assert solver.evaluations == {0: 2, 1: 1, 2: 0}
+    assert solver.total_evaluations == 3
