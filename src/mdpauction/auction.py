@@ -29,6 +29,7 @@ logger = logging.getLogger(__name__)
 
 UNASSIGNED = -1
 MESSAGE_VERSION = 1
+TOPOLOGIES = ("complete", "ring", "line", "random")
 
 
 @dataclass(frozen=True)
@@ -116,6 +117,19 @@ class NetworkModel:
                 raise ValueError("network is not connected")
             worst = max(worst, max(dist.values()))
         return worst
+
+    @classmethod
+    def from_name(cls, name: str, m: int, seed: int) -> "NetworkModel":
+        """The topology `name` (one of TOPOLOGIES) over m agents; `seed` shapes "random"."""
+        if name == "complete":
+            return cls.complete(m)
+        if name == "ring":
+            return cls.ring(m)
+        if name == "line":
+            return cls.line(m)
+        if name == "random":
+            return cls.random_connected(m, seed=seed)
+        raise ValueError(f"unknown topology {name!r}")
 
     @classmethod
     def complete(cls, m: int) -> "NetworkModel":

@@ -117,7 +117,7 @@ def cbba_insertion_bid(
 
 def _sample_scenarios(inst: MissionInstance, cfg: RobustConfig, call_index: int) -> list[Scenario]:
     """Per-call scenario batch; deterministic in (cfg.seed, call_index)."""
-    model = inst.agents[0].speed
+    model = inst.speed
     size = inst.n_tasks + 1
     rng = np.random.default_rng((cfg.seed, call_index))
     if model.variance == 0.0:

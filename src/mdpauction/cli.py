@@ -8,20 +8,19 @@ compare byte for byte.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import sys
 from pathlib import Path
 
-from .auction import NetworkModel, run_auction
+from .auction import TOPOLOGIES, NetworkModel, run_auction
 from .baselines import RobustConfig, run_cbba
 from .harness import (
-    ExperimentConfig,
     bench_complexity,
     convergence_study,
+    csv_text,
     derive_seed,
+    format_float,
     optimality_study,
-    rows_to_csv,
     submodularity_study,
 )
 from .instance import (
@@ -62,34 +61,6 @@ BENCH_COLUMNS = [
 ]
 
 
-def _f(x: float) -> str:
-    return repr(float(x))
-
-
-def _network(name: str, m: int, seed: int) -> NetworkModel:
-    if name == "complete":
-        return NetworkModel.complete(m)
-    if name == "ring":
-        return NetworkModel.ring(m)
-    if name == "line":
-        return NetworkModel.line(m)
-    if name == "random":
-        return NetworkModel.random_connected(m, seed=seed)
-    raise ValueError(f"unknown topology {name!r}")
-
-
-def _write_csv(rows: list[dict], columns: list[str], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore",
-                                lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(
-                {c: (_f(v) if isinstance(v, float) else v)
-                 for c, v in ((c, row.get(c, "")) for c in columns)}
-            )
-
-
 def _cmd_gen(args) -> int:
     cfg = GenerationConfig(
         n_tasks=args.n,
@@ -122,17 +93,15 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _solve_one(inst, args):
-    network = _network(args.topology, inst.n_agents, args.seed)
-    sigma = inst.agents[0].speed.variance
-    if args.method == "auction":
-        nodes = 1 if sigma == 0.0 else args.quadrature
-        solver = ValueSolver(inst, quadrature_nodes=nodes, grid_step=args.grid)
+def _solve_one(inst, args, method):
+    network = NetworkModel.from_name(args.topology, inst.n_agents, args.seed)
+    if method == "auction":
+        solver = ValueSolver(inst, quadrature_nodes=args.quadrature, grid_step=args.grid)
         allocation = run_auction(
             inst, network=network, solver=solver, wrapping=args.wrap
         )
         return allocation, solver
-    variant = "robust" if args.method == "robust-cbba" else "deterministic"
+    variant = "robust" if method == "robust-cbba" else "deterministic"
     rc = RobustConfig(sample_count=args.samples, seed=args.seed)
     allocation = run_cbba(inst, network=network, variant=variant, robust_cfg=rc)
     return allocation, None
@@ -140,7 +109,7 @@ def _solve_one(inst, args):
 
 def _cmd_solve(args) -> int:
     inst = load_instance(args.instance)
-    allocation, _ = _solve_one(inst, args)
+    allocation, _ = _solve_one(inst, args, args.method)
     out = io.StringIO()
     out.write(f"method: {allocation.method}\n")
     for agent in inst.agents:
@@ -148,11 +117,11 @@ def _cmd_solve(args) -> int:
         path = list(allocation.paths.get(agent.id, []))
         value = allocation.per_agent_value.get(agent.id, 0.0)
         out.write(
-            f"agent {agent.id}: tasks {tasks} path {path} value {_f(value)}\n"
+            f"agent {agent.id}: tasks {tasks} path {path} value {format_float(value)}\n"
         )
     out.write(f"unassigned: {sorted(allocation.unassigned)}\n")
-    out.write(f"total value: {_f(allocation.total_value)}\n")
-    out.write(f"expected reward: {_f(allocation.expected_reward(inst))}\n")
+    out.write(f"total value: {format_float(allocation.total_value)}\n")
+    out.write(f"expected reward: {format_float(allocation.expected_reward(inst))}\n")
     out.write(
         f"rounds: {allocation.rounds_to_converge} "
         f"converged: {allocation.converged} "
@@ -197,12 +166,7 @@ def _cmd_validate(args) -> int:
     allocations = {}
     auction_solver = None
     for method in methods:
-        ns = argparse.Namespace(
-            method=method, topology=args.topology, seed=args.seed,
-            quadrature=args.quadrature, grid=args.grid, samples=args.samples,
-            wrap=args.wrap,
-        )
-        allocation, solver = _solve_one(inst, ns)
+        allocation, solver = _solve_one(inst, args, method)
         allocations[method] = allocation
         if method == "auction":
             auction_solver = solver
@@ -213,13 +177,13 @@ def _cmd_validate(args) -> int:
     rows = [reports[m].as_row() for m in methods]
     for row in rows:
         sys.stdout.write(
-            f"{row['method']}: expected {_f(row['expected_reward'])} "
-            f"actual {_f(row['actual_reward_mean'])} "
-            f"(std {_f(row['actual_reward_std'])}) "
-            f"finish_rate {_f(row['finish_rate'])}\n"
+            f"{row['method']}: expected {format_float(row['expected_reward'])} "
+            f"actual {format_float(row['actual_reward_mean'])} "
+            f"(std {format_float(row['actual_reward_std'])}) "
+            f"finish_rate {format_float(row['finish_rate'])}\n"
         )
     if args.out:
-        _write_csv(rows, VALIDATE_COLUMNS, args.out)
+        Path(args.out).write_text(csv_text(rows, VALIDATE_COLUMNS), newline="")
     return 0
 
 
@@ -235,7 +199,7 @@ def _cmd_bench(args) -> int:
             f"evaluations={row['score_evaluations']}\n"
         )
     if args.out:
-        _write_csv(rows, BENCH_COLUMNS, args.out)
+        Path(args.out).write_text(csv_text(rows, BENCH_COLUMNS), newline="")
     return 0
 
 
@@ -246,7 +210,7 @@ def _cmd_check(args) -> int:
         sys.stdout.write(
             f"property: submodularity screened={study['screened']} "
             f"checked={study['checked']} violations={study['violations']} "
-            f"worst={_f(study['worst'])}\n"
+            f"worst={format_float(study['worst'])}\n"
         )
         violations += study["violations"]
     if args.property in ("monotonicity", "all"):
@@ -274,7 +238,7 @@ def _cmd_check(args) -> int:
         bad = sum(1 for row in rows if row["ratio"] < 0.5 - 1e-9)
         sys.stdout.write(
             f"property: optimality instances={len(rows)} "
-            f"min_ratio={_f(worst)} violations={bad}\n"
+            f"min_ratio={format_float(worst)} violations={bad}\n"
         )
         violations += bad
     if args.property in ("convergence", "all"):
@@ -315,8 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=float, default=1.0)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--wrap", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--topology", default="complete",
-                   choices=("complete", "ring", "line", "random"))
+    p.add_argument("--topology", default="complete", choices=TOPOLOGIES)
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=_cmd_solve)
 
@@ -332,8 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=float, default=1.0)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--wrap", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--topology", default="complete",
-                   choices=("complete", "ring", "line", "random"))
+    p.add_argument("--topology", default="complete", choices=TOPOLOGIES)
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=_cmd_validate)
 

@@ -151,8 +151,7 @@ def check_monotonicity_V(
 
 def _scenario_from_nodes(inst: MissionInstance, arcs, node_speeds, assignment) -> Scenario:
     n = inst.n_tasks + 1
-    mean = inst.agents[0].speed.mean
-    speeds = np.full((n, n), mean)
+    speeds = np.full((n, n), inst.speed.mean)
     for (a, b), q in zip(arcs, assignment):
         speeds[a, b] = node_speeds[q]
     return Scenario(speeds)
@@ -254,19 +253,8 @@ class ExperimentConfig:
     grid_step: float = 1.0
     master_seed: int = 0
     wrapping: bool = True
-    topology: str = "complete"
+    topology: str = "complete"  # one of auction.TOPOLOGIES
     max_rounds: int | None = None
-
-    def network(self, m: int) -> NetworkModel:
-        if self.topology == "complete":
-            return NetworkModel.complete(m)
-        if self.topology == "ring":
-            return NetworkModel.ring(m)
-        if self.topology == "line":
-            return NetworkModel.line(m)
-        if self.topology == "random":
-            return NetworkModel.random_connected(m, seed=self.master_seed)
-        raise ValueError(f"unknown topology {self.topology!r}")
 
 
 def derive_seed(master: int, *keys: int) -> int:
@@ -278,9 +266,8 @@ def _coordinate(
 ) -> tuple[AllocationResult, ValueSolver | None, float, float]:
     """Run one method; returns (allocation, solver, setup_s, coordination_s)."""
     if method == "auction":
-        nodes = 1 if inst.agents[0].speed.variance == 0.0 else cfg.quadrature_nodes
         solver = ValueSolver(
-            inst, quadrature_nodes=nodes, grid_step=cfg.grid_step
+            inst, quadrature_nodes=cfg.quadrature_nodes, grid_step=cfg.grid_step
         )
         t0 = time.perf_counter()
         for agent in inst.agents:
@@ -325,7 +312,7 @@ def run_cell_instance(cfg: ExperimentConfig, n: int, m: int, sigma: float, seed:
     inst = generate_instance(
         GenerationConfig(n_tasks=n, n_agents=m, sigma_v_sq=sigma, seed=seed)
     )
-    network = cfg.network(m)
+    network = NetworkModel.from_name(cfg.topology, m, cfg.master_seed)
     rows = []
     allocations: dict[str, AllocationResult] = {}
     solvers: dict[str, ValueSolver | None] = {}
@@ -436,22 +423,26 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(rows=rows, errors=errors)
 
 
-def rows_to_csv(rows: list[dict], include_wall: bool = True) -> str:
-    columns = [
-        c for c in CSV_COLUMNS if include_wall or c not in WALL_COLUMNS
-    ]
+def format_float(x) -> str:
+    """How CSV cells and CLI lines print a float: repr of the Python float, so a
+    numpy float prints like a Python one and reruns compare byte for byte."""
+    return repr(float(x))
+
+
+def csv_text(rows: list[dict], columns: list[str]) -> str:
+    """`rows` as CSV over `columns`: missing cells empty, floats via format_float."""
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=columns, extrasaction="ignore", lineterminator="\n")
+    writer = csv.DictWriter(buffer, fieldnames=columns, extrasaction="ignore",
+                            lineterminator="\n")
     writer.writeheader()
     for row in rows:
-        formatted = {}
-        for c in columns:
-            v = row.get(c, "")
-            if isinstance(v, float):
-                v = repr(v)
-            formatted[c] = v
-        writer.writerow(formatted)
+        cells = ((c, row.get(c, "")) for c in columns)
+        writer.writerow({c: format_float(v) if isinstance(v, float) else v for c, v in cells})
     return buffer.getvalue()
+
+
+def rows_to_csv(rows: list[dict], include_wall: bool = True) -> str:
+    return csv_text(rows, [c for c in CSV_COLUMNS if include_wall or c not in WALL_COLUMNS])
 
 
 def strip_wall_columns(csv_text: str) -> str:
@@ -489,8 +480,7 @@ def optimality_study(
                 n_tasks=n_tasks, n_agents=n_agents, sigma_v_sq=sigma, seed=inst_seed
             )
         )
-        nodes = 1 if sigma == 0.0 else 8
-        solver = ValueSolver(inst, quadrature_nodes=nodes)
+        solver = ValueSolver(inst, quadrature_nodes=8)
         allocation = run_auction(inst, solver=solver)
         auction_value = allocation.expected_reward(inst)
         opt_value, _ = brute_force_opt(inst, solver=solver)
@@ -568,14 +558,9 @@ def convergence_study(
 ) -> list[dict]:
     """Rounds-to-converge for the auction across network shapes."""
     rows = []
-    builders = {
-        "complete": NetworkModel.complete,
-        "ring": NetworkModel.ring,
-        "line": NetworkModel.line,
-    }
     per_topology = count // len(topologies) + (count % len(topologies) > 0)
     for t_idx, topology in enumerate(topologies):
-        network = builders[topology](n_agents)
+        network = NetworkModel.from_name(topology, n_agents, seed)
         for i in range(per_topology):
             inst_seed = derive_seed(seed, 7, t_idx, i)
             sigma = (0.0, 0.1)[i % 2]
@@ -585,8 +570,7 @@ def convergence_study(
                     n_tasks=n, n_agents=n_agents, sigma_v_sq=sigma, seed=inst_seed
                 )
             )
-            nodes = 1 if sigma == 0.0 else 4
-            solver = ValueSolver(inst, quadrature_nodes=nodes)
+            solver = ValueSolver(inst, quadrature_nodes=4)
             allocation = run_auction(
                 inst, network=network, solver=solver, wrapping=wrapping
             )

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass
 
 WINDOW_PROBABILITIES = (0.25, 0.5, 0.75, 1.0)
 SERVICE_RANGE = (10.0, 30.0)
@@ -129,6 +128,11 @@ class MissionInstance:
     def n_agents(self) -> int:
         return len(self.agents)
 
+    @property
+    def speed(self) -> SpeedModel:
+        """The mission's speed model, which validation makes every agent share."""
+        return self.agents[0].speed
+
     def locations(self) -> list[Location]:
         """Location 0 is the depot, location j+1 is task j."""
         return [self.depot] + [t.location for t in self.tasks]
@@ -148,10 +152,17 @@ def validate_instance(inst: MissionInstance) -> None:
             raise InstanceFormatError(
                 f"tasks[{pos}].id: expected {pos}, got {task.id} (ids must be 0..n-1)"
             )
+    if not inst.agents:
+        raise InstanceFormatError("agents: a mission needs at least one agent")
     for pos, agent in enumerate(inst.agents):
         if agent.id != pos:
             raise InstanceFormatError(
                 f"agents[{pos}].id: expected {pos}, got {agent.id} (ids must be 0..m-1)"
+            )
+        if agent.speed != inst.speed:
+            # scenarios draw one speed per arc for the whole fleet
+            raise InstanceFormatError(
+                f"agents[{pos}].speed: all agents must share one speed model"
             )
 
 

@@ -12,7 +12,7 @@ every task left unassigned by the planner.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -86,12 +86,11 @@ class RolloutReport:
 
 def sample_scenario(inst: MissionInstance, seed: int) -> Scenario:
     """One truncated-normal speed per ordered location pair, deterministic in seed."""
-    speed = inst.agents[0].speed if inst.agents else None
+    speed = inst.speed
     n = inst.n_tasks + 1
     rng = np.random.default_rng(seed)
-    if speed is None or speed.variance == 0.0:
-        mean = speed.mean if speed else 1.0
-        return Scenario(np.full((n, n), mean))
+    if speed.variance == 0.0:
+        return Scenario(np.full((n, n), speed.mean))
     draws = rng.normal(speed.mean, speed.std, size=(n, n))
     return Scenario(np.maximum(draws, speed.truncation_floor))
 

@@ -107,8 +107,7 @@ class Scenario:
 
 def mean_scenario(inst: MissionInstance) -> Scenario:
     n = inst.n_tasks + 1
-    mean = inst.agents[0].speed.mean if inst.agents else 1.0
-    return Scenario(np.full((n, n), mean))
+    return Scenario(np.full((n, n), inst.speed.mean))
 
 
 @dataclass
@@ -379,7 +378,8 @@ class ValueSolver:
 
     One table over the full task set answers every subset query (the recursion
     never looks outside `remaining`), so marginal gains V(b + j) - V(b) are two
-    lookups. Tables are keyed by (start, speed model, ground set), so agents
+    lookups. Every agent shares the mission's speed model and so the one
+    quadrature rule `quad`; tables are keyed by (start, ground set), so agents
     that differ only in id or capacity share one solve. `evaluations` counts
     marginals per agent, which is the score accounting the coordination layer
     reports.
@@ -392,29 +392,21 @@ class ValueSolver:
         grid_step: float = 1.0,
         subset_cap: int = SUBSET_CAP,
     ):
-        if quadrature_nodes < 1:
+        # zero variance collapses to the exact single node whatever Q is
+        nodes = 1 if inst.speed.variance == 0.0 else quadrature_nodes
+        if nodes < 1:
             raise ValueError("quadrature_nodes must be >= 1")
         self.instance = inst
-        self.quadrature_nodes = quadrature_nodes
+        self.quad = build_quadrature(inst.speed, nodes)
         self.grid_step = float(grid_step)
         self.subset_cap = subset_cap
         self.evaluations: dict[int, int] = {a.id: 0 for a in inst.agents}
-        # keyed by (start, speed model, ground set)
+        # keyed by (start, ground set)
         self._tables: dict[tuple, ValueTable] = {}
-        self._quads: dict[SpeedModel, QuadratureRule] = {}
 
     @property
     def total_evaluations(self) -> int:
         return sum(self.evaluations.values())
-
-    def quadrature(self, agent: AgentSpec) -> QuadratureRule:
-        rule = self._quads.get(agent.speed)
-        if rule is None:
-            # zero variance collapses to the exact single node whatever Q is
-            nodes = 1 if agent.speed.variance == 0.0 else self.quadrature_nodes
-            rule = build_quadrature(agent.speed, nodes)
-            self._quads[agent.speed] = rule
-        return rule
 
     def table(self, agent: AgentSpec, allocated: Iterable[int] | None = None) -> ValueTable:
         """A table covering `allocated` (the full task set when it fits the cap)."""
@@ -425,14 +417,14 @@ class ValueSolver:
             ground = tuple(range(self.instance.n_tasks))
         else:
             ground = wanted
-        key = (agent.start, agent.speed, ground)
+        key = (agent.start, ground)
         tab = self._tables.get(key)
         if tab is None:
             tab = solve_value(
                 self.instance,
                 agent,
                 ground,
-                quad=self.quadrature(agent),
+                quad=self.quad,
                 grid_step=self.grid_step,
                 subset_cap=self.subset_cap,
             )

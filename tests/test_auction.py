@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mdpauction.auction import (
+    TOPOLOGIES,
     UNASSIGNED,
     BundleState,
     NetworkModel,
@@ -244,6 +245,20 @@ def test_network_shapes_and_diameters():
     assert NetworkModel.ring(4).diameter == 2
     assert NetworkModel.line(4).diameter == 3
     assert NetworkModel.complete(1).diameter == 0 or NetworkModel.complete(1).diameter == 1
+
+
+def test_network_from_name_builds_every_topology():
+    diameters = {"complete": 1, "ring": 2, "line": 3}
+    for name in TOPOLOGIES:
+        net = NetworkModel.from_name(name, 4, seed=3)
+        assert net.name == name and net.n_agents == 4
+        if name in diameters:
+            assert net.diameter == diameters[name]
+    shapes = [NetworkModel.from_name("random", 6, seed=s).neighbors for s in range(10)]
+    assert shapes == [NetworkModel.from_name("random", 6, seed=s).neighbors for s in range(10)]
+    assert len({str(n) for n in shapes}) > 1  # the seed shapes the graph
+    with pytest.raises(ValueError, match="unknown topology"):
+        NetworkModel.from_name("star", 4, seed=0)
 
 
 def test_network_rejects_disconnected():

@@ -130,6 +130,18 @@ def test_solve_missing_file(capsys):
     assert code == 1 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["solve", "validate"])
+def test_zero_agent_mission_is_rejected(instance_file, capsys, command):
+    with open(instance_file) as fh:
+        doc = json.load(fh)
+    doc["agents"] = []
+    with open(instance_file, "w") as fh:
+        json.dump(doc, fh)
+    code, out, err = run_cli([command, instance_file], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: agents")
+
+
 def test_unknown_command_and_flag(capsys):
     assert run_cli(["frobnicate"], capsys)[0] == 2
     assert run_cli(["gen", "--n", "2", "--m", "1", "--bogus"], capsys)[0] == 2

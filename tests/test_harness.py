@@ -1,5 +1,7 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from mdpauction.harness import (
@@ -20,7 +22,7 @@ from mdpauction.harness import (
     strip_wall_columns,
     submodularity_study,
 )
-from mdpauction.auction import run_auction
+from mdpauction.auction import NetworkModel, run_auction
 from mdpauction.instance import (
     AgentSpec,
     GenerationConfig,
@@ -264,14 +266,19 @@ def test_rows_to_csv_layout():
     assert strip_wall_columns("") == ""
 
 
+def test_sweep_csv_prints_numpy_sigmas_like_python_floats():
+    cfg = dataclasses.replace(small_config(), methods=("auction",), rollout_rounds=0)
+    as_numpy = dataclasses.replace(cfg, sigma_grid=tuple(np.array(cfg.sigma_grid)))
+    assert rows_to_csv(run_experiment(as_numpy).rows, include_wall=False) == rows_to_csv(
+        run_experiment(cfg).rows, include_wall=False
+    )
+
+
 def test_network_topologies():
-    cfg = ExperimentConfig(topology="ring")
-    assert cfg.network(4).diameter == 2
-    cfg = ExperimentConfig(topology="line")
-    assert cfg.network(4).diameter == 3
-    cfg = ExperimentConfig(topology="nonsense")
+    assert NetworkModel.from_name("ring", 4, seed=0).diameter == 2
+    assert NetworkModel.from_name("line", 4, seed=0).diameter == 3
     with pytest.raises(ValueError):
-        cfg.network(4)
+        NetworkModel.from_name("nonsense", 4, seed=0)
 
 
 def test_bench_counters_deterministic():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -204,6 +205,34 @@ def test_mission_instance_rejects_gapped_task_ids():
     with pytest.raises(InstanceFormatError, match="ids"):
         MissionInstance(horizon=480.0, depot=Location(0.0, 0.0), penalty=1.0,
                         tasks=[task], agents=[agent])
+
+
+def test_mission_rejects_mixed_speed_models():
+    inst = generate_instance(
+        GenerationConfig(n_tasks=2, n_agents=3, sigma_v_sq=0.1, seed=1)
+    )
+    slower = SpeedModel(mean=0.8, variance=0.1, truncation_floor=0.1)
+    doc = instance_to_dict(inst)
+    doc["agents"][1]["speed"]["mean"] = slower.mean
+    with pytest.raises(InstanceFormatError, match=r"^agents\[1\]\.speed: "):
+        parse_instance(json.dumps(doc))
+    agents = list(inst.agents)
+    agents[1] = dataclasses.replace(agents[1], speed=slower)
+    with pytest.raises(InstanceFormatError, match=r"^agents\[1\]\.speed: "):
+        dataclasses.replace(inst, agents=agents)
+    assert inst.speed == inst.agents[2].speed
+
+
+def test_mission_rejects_empty_agent_list():
+    inst = generate_instance(
+        GenerationConfig(n_tasks=2, n_agents=1, sigma_v_sq=0.0, seed=1)
+    )
+    doc = instance_to_dict(inst)
+    doc["agents"] = []
+    with pytest.raises(InstanceFormatError, match="^agents: "):
+        parse_instance(json.dumps(doc))
+    with pytest.raises(InstanceFormatError, match="^agents: "):
+        dataclasses.replace(inst, agents=[])
 
 
 def test_generation_config_rejects_bad_values():

@@ -422,8 +422,8 @@ def test_solver_marginals_and_counter():
 def test_solver_zero_variance_collapses_quadrature():
     inst = random_small_instance(8, n=2, sigma=0.0)
     solver = ValueSolver(inst, quadrature_nodes=8)
-    assert solver.quadrature(inst.agents[0]).speeds == (1.0,)
-    assert solver.quadrature(inst.agents[0]).weights == (1.0,)
+    assert solver.quad.speeds == (1.0,)
+    assert solver.quad.weights == (1.0,)
 
 
 def _count_solves(monkeypatch):
@@ -453,30 +453,26 @@ def test_solver_shares_table_across_identical_agents(monkeypatch):
     tables = [solver.table(a) for a in inst.agents]
     assert calls == [0]
     assert tables[0] is tables[1] is tables[2]
-    assert solver.quadrature(agents[0]) is solver.quadrature(agents[2])
     assert not hasattr(tables[0], "agent_id")
 
 
-def test_solver_separates_start_and_speed_model(monkeypatch):
+def test_solver_separates_agent_starts(monkeypatch):
     base = generate_instance(GenerationConfig(n_tasks=4, n_agents=3, sigma_v_sq=0.1,
                                               seed=13))
-    a0 = base.agents[0]
+    a0, _, a2 = base.agents
     moved = dataclasses.replace(base.agents[1], start=Location(a0.start.x + 7.0,
                                                                a0.start.y))
-    slower = dataclasses.replace(
-        base.agents[2], speed=SpeedModel(mean=0.8, variance=0.1, truncation_floor=0.1)
-    )
-    inst = dataclasses.replace(base, agents=[a0, moved, slower])
+    inst = dataclasses.replace(base, agents=[a0, moved, a2])
     calls = _count_solves(monkeypatch)
     solver = ValueSolver(inst, quadrature_nodes=4)
     tables = [solver.table(a) for a in inst.agents]
-    assert calls == [0, 1, 2]
-    assert len({id(t) for t in tables}) == 3
+    assert calls == [0, 1]
+    assert tables[0] is not tables[1] and tables[2] is tables[0]
     for agent, table in zip(inst.agents, tables):
-        own = solve_value(inst, agent, range(4), quad=solver.quadrature(agent))
+        own = solve_value(inst, agent, range(4), quad=solver.quad)
         assert table.values.tobytes() == own.values.tobytes()
     assert solver.table(moved) is tables[1]
-    assert calls == [0, 1, 2]
+    assert calls == [0, 1]
 
 
 def test_solver_evaluations_stay_per_agent():
