@@ -42,6 +42,10 @@ class RobustConfig:
     sample_count: int = 1000
     seed: int = 0
 
+    def __post_init__(self):
+        if self.sample_count < 1:
+            raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
+
 
 @dataclass(frozen=True)
 class PathScore:

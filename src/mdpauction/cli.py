@@ -204,6 +204,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     violations = 0
     if args.property in ("submodularity", "all"):
         study = submodularity_study(count=args.trials, seed=args.seed)

@@ -605,6 +605,10 @@ def bench_complexity(
     single instance's convergence-round draw doesn't dominate the trend; each
     instance's wall contribution is the minimum over `repeats` runs.
     """
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    if instances_per_n < 1:
+        raise ValueError(f"instances_per_n must be >= 1, got {instances_per_n}")
     rows = []
     cfg = ExperimentConfig(robust_samples=robust_samples, master_seed=seed,
                            rollout_rounds=0)

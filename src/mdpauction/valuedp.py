@@ -156,13 +156,21 @@ class ValueTable:
             raise ValueError(f"time {time} is out of range")
         return int(math.ceil(time / self.grid_step))
 
-    def decode(self, code: int) -> Action:
+    def lookup(self, mask, loc, time):
+        """The stored actions at (remaining mask, table location, exact time).
+
+        Elementwise over arrays (or scalars); time snaps up to its bin. Returns
+        (go, serve, local): go is False where the action is Finish, which it
+        always is beyond the horizon or with nothing left; elsewhere the action
+        serves (serve True) or skips the table's local task index `local`.
+        """
         k = len(self.task_ids)
-        if code < k:
-            return Action(SERVE, self.task_ids[code])
-        if code < 2 * k:
-            return Action(SKIP, self.task_ids[code - k])
-        return Action(FINISH)
+        mask = np.asarray(mask)
+        bins = np.ceil(np.asarray(time) / self.grid_step)
+        asks = (bins < self.time_bins) & (mask != 0)
+        b = np.where(asks, bins, 0).astype(np.intp)
+        code = np.where(asks, self.policy[mask, loc, b], 2 * k).astype(np.intp)
+        return code < 2 * k, code < k, np.where(code < k, code, code - k)
 
 
 def solve_value(
@@ -321,12 +329,13 @@ def value_of(table: ValueTable, state: AgentState) -> float:
 
 def next_action(table: ValueTable, state: AgentState) -> Action:
     """The stored argmax action; Finish beyond the horizon or with nothing left."""
-    mask = table.mask_of(state.remaining)
-    loc = table.loc_of(state.at)
-    b = table.bin_of(state.time)
-    if b >= table.time_bins or mask == 0:
+    table.bin_of(state.time)  # rejects negative or non-finite times
+    go, serve, local = table.lookup(
+        table.mask_of(state.remaining), table.loc_of(state.at), state.time
+    )
+    if not go:
         return Action(FINISH)
-    return table.decode(int(table.policy[mask, loc, b]))
+    return Action(SERVE if serve else SKIP, table.task_ids[int(local)])
 
 
 def action_value(table: ValueTable, state: AgentState, action: Action) -> float:

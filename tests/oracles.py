@@ -1,18 +1,24 @@
-"""Independent value oracles shared by the unit and acceptance suites.
+"""Independent oracles shared by the unit and acceptance suites.
 
-All but the last re-implement the transition semantics with scalar arithmetic
-and no lookup tables: arrivals snap up to the grid for the window check, the
-running clock keeps exact minutes, and the next decision bin is the ceiling
-of (service start + duration) / step. The last, `scalar_value_tables`, is the
-per-state table solver kept as a bit-exact reference for the layer pass.
+The value oracles re-implement the transition semantics with scalar
+arithmetic and no lookup tables: arrivals snap up to the grid for the window
+check, the running clock keeps exact minutes, and the next decision bin is the
+ceiling of (service start + duration) / step. `scalar_value_tables` is the
+per-state table solver kept as a bit-exact reference for the layer pass, and
+`validate_per_scenario` is the one-scenario-at-a-time rollout loop, with its
+own policy read and decoding, kept as a bit-exact reference for the lockstep
+rollouts.
 """
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 
 from mdpauction.instance import distance
+from mdpauction.rollout import FixedPath, RolloutReport, build_policies
+from mdpauction.valuedp import FINISH, SERVE, SKIP, Action, AgentState, Scenario
 
 
 def simulate_attempt_sequence(inst, agent, sequence, speed, grid_step):
@@ -179,3 +185,142 @@ def scalar_value_tables(inst, agent, allocated, quad, grid_step=1.0):
             policy[mask, src] = codes[best]
 
     return values, policy
+
+
+def scenario_seeds(seed, rounds):
+    """The per-scenario seeds `rollout.validate` derives from its seed."""
+    scenario_rng = np.random.default_rng((seed, 20240831))
+    return [int(s) for s in scenario_rng.integers(0, 2**63 - 1, size=rounds)]
+
+
+def scenario_per_seed(inst, seed):
+    """One scenario drawn from its own generator, as rollouts sampled it."""
+    speed = inst.speed
+    n = inst.n_tasks + 1
+    rng = np.random.default_rng(seed)
+    if speed.variance == 0.0:
+        return Scenario(np.full((n, n), speed.mean))
+    draws = rng.normal(speed.mean, speed.std, size=(n, n))
+    return Scenario(np.maximum(draws, speed.truncation_floor))
+
+
+def next_action_per_state(table, state):
+    """The table's stored action at one state, decoded here from the policy code.
+
+    The snapped bin is ceil(time / step); beyond the last bin or with nothing
+    left the action is Finish. Codes below k serve, below 2k skip, and anything
+    else finishes.
+    """
+    k = len(table.task_ids)
+    mask = table.mask_of(state.remaining)
+    b = table.bin_of(state.time)
+    if b >= table.time_bins or mask == 0:
+        return Action(FINISH)
+    code = int(table.policy[mask, table.loc_of(state.at), b])
+    if code < k:
+        return Action(SERVE, table.task_ids[code])
+    if code < 2 * k:
+        return Action(SKIP, table.task_ids[code - k])
+    return Action(FINISH)
+
+
+def execute_agent_per_scenario(inst, agent, assigned, policy, scenario, stops=None):
+    """(served, failed) task ids for one agent, one policy read per step.
+
+    `stops`, a Counter, tallies how each table-policy run ended: "empty"
+    (nothing left), "finish" (the Finish action) or "horizon" (the snapped
+    time is past the last bin with tasks left); it also counts "late" legs.
+    """
+    served = []
+    t = 0.0
+    here = agent.start
+    here_index = 0
+    stops = Counter() if stops is None else stops
+
+    def fly_and_serve(j):
+        nonlocal t, here, here_index
+        task = inst.tasks[j]
+        speed = scenario.speed(here_index, j + 1)
+        arrival = t + distance(here, task.location) / speed
+        if arrival <= task.due_time:
+            served.append(j)
+            t = max(arrival, task.ready_time) + task.service_duration
+        else:
+            stops["late"] += 1
+            t = arrival
+        here = task.location
+        here_index = j + 1
+
+    if isinstance(policy, FixedPath):
+        for j in policy.path:
+            fly_and_serve(j)
+    else:
+        table = policy.table
+        remaining = set(assigned)
+        while remaining:
+            action = next_action_per_state(table, AgentState(t, here_index, remaining))
+            if action.kind == FINISH:
+                past = table.bin_of(t) >= table.time_bins
+                stops["horizon" if past else "finish"] += 1
+                break
+            if action.kind == SKIP:
+                remaining.discard(action.task_id)
+                continue
+            if action.kind == SERVE:
+                fly_and_serve(action.task_id)
+                remaining.discard(action.task_id)
+        else:
+            stops["empty"] += 1
+    failed = sorted(set(assigned) - set(served))
+    return served, failed
+
+
+def execute_per_scenario(inst, allocation, policies, scenario, stops=None):
+    """(reward, served, failed) of every agent's policy on one scenario."""
+    served_all = []
+    failed_all = []
+    for agent in inst.agents:
+        assigned = allocation.assignment.get(agent.id, [])
+        served, failed = execute_agent_per_scenario(
+            inst, agent, assigned, policies[agent.id], scenario, stops
+        )
+        served_all.extend(served)
+        failed_all.extend(failed)
+    reward = math.fsum(inst.tasks[j].price for j in served_all) - inst.penalty * (
+        len(failed_all) + len(allocation.unassigned)
+    )
+    return reward, sorted(served_all), sorted(failed_all)
+
+
+def validate_per_scenario(inst, allocations, rounds, seed, solver=None, stops=None):
+    """`rollout.validate` run one scenario at a time.
+
+    Returns (reports, outcomes): outcomes[method][r] is scenario r's
+    (reward, served, failed).
+    """
+    scenarios = [scenario_per_seed(inst, s) for s in scenario_seeds(seed, rounds)]
+    reports, outcomes = {}, {}
+    for method, allocation in allocations.items():
+        policies = build_policies(inst, allocation, solver)
+        runs = [execute_per_scenario(inst, allocation, policies, sc, stops)
+                for sc in scenarios]
+        rewards = [reward for reward, _, _ in runs]
+        served_total = sum(len(served) for _, served, _ in runs)
+        failed_total = sum(len(failed) for _, _, failed in runs)
+        mean = math.fsum(rewards) / rounds
+        var = math.fsum((r - mean) ** 2 for r in rewards) / rounds
+        n_total = rounds * inst.n_tasks
+        reports[method] = RolloutReport(
+            instance_seed=inst.seed,
+            method=method,
+            rollout_count=rounds,
+            expected_reward=allocation.expected_reward(inst),
+            actual_reward_mean=mean,
+            actual_reward_std=math.sqrt(var),
+            finish_rate=(served_total / n_total) if n_total else 1.0,
+            served_total=served_total,
+            failed_total=failed_total,
+            unassigned_total=rounds * len(allocation.unassigned),
+        )
+        outcomes[method] = runs
+    return reports, outcomes

@@ -227,6 +227,31 @@ def test_check_optimality_passes(capsys):
     assert out.strip().endswith("PASS")
 
 
+@pytest.mark.parametrize("command", ["solve", "validate"])
+def test_zero_robust_samples_is_rejected(instance_file, capsys, command):
+    code, _, err = run_cli(
+        [command, instance_file, "--samples", "0"]
+        + (["--method", "robust-cbba"] if command == "solve" else ["--rounds", "5"]),
+        capsys,
+    )
+    assert code == 1
+    assert "sample_count must be >= 1, got 0" in err
+
+
+def test_bench_zero_repeats_is_rejected(capsys):
+    code, _, err = run_cli(["bench", "--dims", "2", "--repeats", "0"], capsys)
+    assert code == 1
+    assert "repeats must be >= 1, got 0" in err
+
+
+def test_check_zero_trials_is_rejected(capsys):
+    code, out, err = run_cli(
+        ["check", "--property", "optimality", "--trials", "0"], capsys
+    )
+    assert code == 1 and out == ""
+    assert "--trials must be >= 1, got 0" in err
+
+
 def test_console_script_wiring():
     proc = subprocess.run(
         [sys.executable, "-m", "mdpauction.cli", "gen", "--n", "1", "--m", "1"],

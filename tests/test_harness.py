@@ -295,3 +295,9 @@ def test_bench_counters_deterministic():
     assert [r["score_evaluations"] for r in rows] == [
         r["score_evaluations"] for r in again
     ]
+
+
+@pytest.mark.parametrize("field", ["repeats", "instances_per_n"])
+def test_bench_rejects_empty_counts(field):
+    with pytest.raises(ValueError, match=f"{field} must be >= 1, got 0"):
+        bench_complexity(n_values=(2,), **{field: 0})

@@ -1,10 +1,12 @@
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from mdpauction.auction import AllocationResult, run_auction
-from mdpauction.baselines import run_cbba
+from mdpauction.baselines import RobustConfig, run_cbba
 from mdpauction.instance import (
     AgentSpec,
     GenerationConfig,
@@ -17,12 +19,22 @@ from mdpauction.instance import (
 from mdpauction.rollout import (
     FixedPath,
     MdpPolicy,
+    _execute_rows,
+    _rewards,
+    _sample_speeds,
     build_policies,
     execute,
     sample_scenario,
     validate,
 )
-from mdpauction.valuedp import ValueSolver
+from mdpauction.valuedp import SUBSET_CAP, ValueSolver, solve_value
+
+from oracles import (
+    execute_per_scenario,
+    scenario_per_seed,
+    scenario_seeds,
+    validate_per_scenario,
+)
 
 
 def make_task(i, x, y=0.0, ready=0.0, due=480.0, tau=10.0, windowed=True):
@@ -161,6 +173,19 @@ def test_mdp_policy_skips_expired_tasks():
     assert outcome.reward == 0.0
 
 
+def test_arrival_exactly_at_due_time_is_served():
+    # 10 minutes out at unit speed lands on the due time itself, which counts
+    inst = make_instance([make_task(0, 10.0, due=10.0)], [(0.0, 0.0)])
+    solver = ValueSolver(inst, quadrature_nodes=1)
+    fixed = manual_result(inst, {0: [0]}, [])
+    adaptive = manual_result(inst, {0: [0]}, [], method="auction")
+    for result in (fixed, adaptive):
+        policies = build_policies(inst, result, solver)
+        outcome = execute(inst, result, policies, sample_scenario(inst, 0))
+        assert outcome.served == [0]
+        assert outcome.reward == 1.0
+
+
 def test_build_policies_fixed_for_baselines():
     inst = make_instance([make_task(0, 10.0)], [(0.0, 0.0)])
     result = manual_result(inst, {0: [0]}, [], method="cbba")
@@ -272,3 +297,99 @@ def test_adaptive_policy_dominates_frozen_path():
             count += 1
     assert count == 1000
     assert total / count > 0.5
+
+
+# --- lockstep rollouts against the per-scenario loop ----------------------------------
+
+
+def hex_row(report):
+    return {k: v.hex() if isinstance(v, float) else v for k, v in report.as_row().items()}
+
+
+def assert_rows_match_oracle(inst, allocations, rounds, seed, solver, stops=None):
+    """validate's reports bit for bit, and every scenario's served and failed."""
+    want, outcomes = validate_per_scenario(inst, allocations, rounds, seed, solver, stops)
+    got = validate(inst, allocations, rounds=rounds, seed=seed, solver=solver)
+    assert list(got) == list(want)
+    for method in allocations:
+        assert hex_row(got[method]) == hex_row(want[method]), method
+    seeds = scenario_seeds(seed, rounds)
+    speeds = _sample_speeds(inst, seeds)
+    for r, s in enumerate(seeds):
+        assert speeds[r].tobytes() == scenario_per_seed(inst, s).speeds.tobytes()
+    for method, allocation in allocations.items():
+        policies = build_policies(inst, allocation, solver)
+        served, failed = _execute_rows(inst, allocation, policies, speeds)
+        rewards = _rewards(inst, served, failed, len(allocation.unassigned))
+        for r, (reward, served_ids, failed_ids) in enumerate(outcomes[method]):
+            assert np.flatnonzero(served[r]).tolist() == served_ids, (method, r)
+            assert np.flatnonzero(failed[r]).tolist() == failed_ids, (method, r)
+            assert rewards[r].hex() == reward.hex(), (method, r)
+
+
+SIGMAS = (0.0, 0.05, 0.1, 0.3)
+NODES = (1, 3, 8)
+GRIDS = (0.5, 1.0, 2.0)
+HORIZONS = (480.0, 120.0, 60.0)
+ROUNDS = (1, 7, 200)
+
+
+def lockstep_case(i):
+    """Case i of the diff test: every n in 0..13 (13 is beyond the subset cap)."""
+    n = i % 14
+    sigma = SIGMAS[(i // 14) % 4]
+    nodes = NODES[i % 3]
+    grid = GRIDS[(i // 3) % 3]
+    horizon = HORIZONS[(i // 9) % 3]
+    rounds = ROUNDS[(i // 2) % 3]
+    m = 1 + i % 3 if n <= SUBSET_CAP else 3 + i % 2
+    bins = horizon / grid
+    # keep each case's tables small: the shortest horizon on the coarsest grid
+    if (n > SUBSET_CAP and bins > 30) or (
+        n <= SUBSET_CAP and (1 << n) * (n + 1) * bins * n * nodes > 2e7
+    ):
+        horizon, grid = 60.0, 2.0
+    return n, m, sigma, nodes, grid, horizon, rounds
+
+
+def test_lockstep_validate_bit_identical_to_per_scenario_loop():
+    stops = Counter()
+    for i in range(120):
+        n, m, sigma, nodes, grid, horizon, rounds = lockstep_case(i)
+        inst = generate_instance(GenerationConfig(
+            n_tasks=n, n_agents=m, sigma_v_sq=sigma, seed=1000 + i, horizon=horizon))
+        solver = ValueSolver(inst, quadrature_nodes=nodes, grid_step=grid)
+        allocations = {
+            "auction": run_auction(inst, solver=solver),
+            "cbba": run_cbba(inst),
+            "robust-cbba": run_cbba(inst, variant="robust",
+                                   robust_cfg=RobustConfig(sample_count=8, seed=i)),
+        }
+        assert_rows_match_oracle(inst, allocations, rounds, i, solver, stops)
+    # late arrivals, runs that end past the horizon and runs that resolve
+    # every task all occur
+    assert stops["late"] and stops["horizon"] and stops["empty"], stops
+
+
+@pytest.mark.parametrize("sigma, nodes, grid", [(0.0, 8, 1.0), (0.1, 4, 2.0)])
+def test_beyond_cap_tables_and_rollouts(sigma, nodes, grid):
+    # n > SUBSET_CAP: the solver builds one table per queried set
+    inst = generate_instance(
+        GenerationConfig(n_tasks=13, n_agents=4, sigma_v_sq=sigma, seed=5)
+    )
+    assert inst.n_tasks > SUBSET_CAP
+    solver = ValueSolver(inst, quadrature_nodes=nodes, grid_step=grid)
+    allocation = run_auction(inst, solver=solver)
+    others = iter(range(inst.n_tasks))
+    for agent in inst.agents:
+        bundle = sorted(allocation.assignment.get(agent.id, []))
+        assert solver.table(agent, bundle).task_ids == tuple(bundle)
+        # a dense table over a superset answers every subset of the bundle
+        wider = sorted(set(bundle) | {next(others), next(others)})
+        dense = solve_value(inst, agent, wider, quad=solver.quad,
+                            grid_step=grid)
+        for size in range(len(bundle) + 1):
+            for subset in itertools.combinations(bundle, size):
+                want = float(dense.values[dense.mask_of(subset), 0, 0])
+                assert solver.set_value(agent, subset).hex() == want.hex(), subset
+    assert_rows_match_oracle(inst, {"auction": allocation}, 200, 13, solver)

@@ -54,6 +54,7 @@ from oracles import (  # noqa: E402
     adaptive_value_oracle,
     best_over_attempt_sequences,
     enumerate_schedules_continuous,
+    next_action_per_state,
     scalar_value_tables,
     simulate_attempt_sequence,
 )
@@ -301,6 +302,31 @@ def test_next_action_tie_priority():
     table = solve_value(inst, inst.agents[0], (0, 1))
     act = next_action(table, AgentState(remaining=(0, 1), at=0, time=0.0))
     assert act == Action(SERVE, 0)
+
+
+@pytest.mark.parametrize("sigma,grid", [(0.0, 1.0), (0.1, 2.0), (0.3, 0.5)])
+def test_lookup_matches_per_state_read(sigma, grid):
+    # every (mask, location) at times on, between and past the bin edges
+    inst = random_small_instance(7, n=4, sigma=sigma)
+    inst = dataclasses.replace(inst, horizon=60.0)
+    table = solve_value(inst, inst.agents[0], range(4), grid_step=grid)
+    # solved tables hold only Serve codes here; random codes cover Skip and Finish
+    codes = np.random.default_rng(int(grid * 10)).integers(0, 9, size=table.policy.shape)
+    table = dataclasses.replace(table, policy=codes.astype(np.int16))
+    times = [0.0, 0.3, grid, 1.7 * grid, 59.9, 60.0, 60.0 + grid / 2, 61.0, 500.0]
+    states = [(mask, loc, t) for mask in range(16) for loc in range(5) for t in times]
+    mask, loc, t = (np.array(col) for col in zip(*states))
+    go, serve, local = table.lookup(mask, loc, t)
+    assert go.shape == serve.shape == local.shape == (len(states),)
+    for i, (m, at, time) in enumerate(states):
+        state = AgentState(time, at, [j for j in range(4) if m >> j & 1])
+        expected = next_action_per_state(table, state)
+        assert next_action(table, state) == expected
+        if expected.kind == FINISH:
+            assert not go[i]
+        else:
+            assert go[i] and serve[i] == (expected.kind == SERVE)
+            assert table.task_ids[local[i]] == expected.task_id
 
 
 # --- structural invariants -------------------------------------------------------
