@@ -1,7 +1,7 @@
 """Auction-based multi-agent task allocation with MDP value bidding."""
 
 from .auction import AllocationResult, NetworkModel, run_auction, wrap_bid
-from .baselines import RobustConfig, cbba_insertion_bid, path_reward, run_cbba
+from .baselines import RobustConfig, insertion_bid, path_reward, run_cbba
 from .instance import (
     AgentSpec,
     GenerationConfig,
@@ -53,10 +53,10 @@ __all__ = [
     "ValueTable",
     "build_policies",
     "build_quadrature",
-    "cbba_insertion_bid",
     "deterministic_route_reward",
     "execute",
     "generate_instance",
+    "insertion_bid",
     "load_instance",
     "next_action",
     "parse_instance",

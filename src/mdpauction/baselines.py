@@ -1,16 +1,17 @@
 """Insertion-heuristic bundle auction baselines.
 
-The deterministic variant scores a path by simulating it at mean speed and bids
-the best single-position insertion gain. The robust variant averages the same
-path score over N sampled speed scenarios (common random numbers across the
-candidate positions of one call) and wraps its bids before sharing. Both reuse
+Both variants bid the best single-position insertion gain in mean path score
+over a list of speed scenarios (`insertion_bid`). The deterministic variant
+scores over the one mean-speed scenario and shares its bids unwrapped; the
+robust variant scores over N sampled scenarios (common random numbers across
+the candidate positions of one call) and wraps its bids before sharing. Both reuse
 the consensus engine from the auction module; only bundle construction differs:
 baselines insert into a path at the best position, while the value-function
 method appends (its execution order comes from the policy, not the path).
 
-Score accounting: each insertion bid costs |path|+1 path evaluations
-(deterministic) or N * (|path|+1) (robust); the baseline path's own score is
-amortized and not counted.
+Score accounting: each insertion bid over N scenarios costs N * (|path|+1) path
+evaluations (N = 1 for the deterministic variant); the baseline path's own
+score is amortized and not counted.
 """
 
 from __future__ import annotations
@@ -92,33 +93,6 @@ def path_reward(
     return PathScore(reward=reward, served=tuple(served), finish_time=t)
 
 
-def cbba_insertion_bid(
-    inst: MissionInstance,
-    agent: AgentSpec,
-    path: list[int],
-    task_id: int,
-    counter: EvalCounter | None = None,
-    base_score: float | None = None,
-) -> tuple[float, int]:
-    """Best mean-speed insertion gain for task_id over all |path|+1 positions.
-
-    Returns (bid, position); ties go to the lowest position. Counts one path
-    evaluation per position.
-    """
-    if base_score is None:
-        base_score = path_reward(inst, agent, path).reward
-    best_gain, best_pos = None, 0
-    for pos in range(len(path) + 1):
-        candidate = path[:pos] + [task_id] + path[pos:]
-        score = path_reward(inst, agent, candidate).reward
-        if counter is not None:
-            counter.count += 1
-        gain = score - base_score
-        if best_gain is None or gain > best_gain:
-            best_gain, best_pos = gain, pos
-    return best_gain, best_pos
-
-
 def _sample_scenarios(inst: MissionInstance, cfg: RobustConfig, call_index: int) -> list[Scenario]:
     """Per-call scenario batch; deterministic in (cfg.seed, call_index)."""
     model = inst.speed
@@ -134,7 +108,16 @@ def _sample_scenarios(inst: MissionInstance, cfg: RobustConfig, call_index: int)
     return [Scenario(speeds[k]) for k in range(cfg.sample_count)]
 
 
-def robust_insertion_bid(
+def _mean_reward(
+    inst: MissionInstance, agent: AgentSpec, path: list[int], scenarios: list[Scenario]
+) -> float:
+    """Mean path reward over the scenario list (fsum, so exact in any order)."""
+    return math.fsum(
+        path_reward(inst, agent, path, sc).reward for sc in scenarios
+    ) / len(scenarios)
+
+
+def insertion_bid(
     inst: MissionInstance,
     agent: AgentSpec,
     path: list[int],
@@ -143,17 +126,16 @@ def robust_insertion_bid(
     counter: EvalCounter | None = None,
     base_mean: float | None = None,
 ) -> tuple[float, int]:
-    """Best sampled-mean insertion gain under common random numbers.
+    """Best mean insertion gain over the scenario list, common random numbers.
 
-    Every candidate position is scored on the same scenario list; the bid is
-    the best mean score minus the path's own mean score. Counts N path
-    evaluations per position.
+    Every candidate position is scored on the same N scenarios (the one
+    mean-speed scenario for the deterministic variant); the bid is the best
+    mean score minus the path's own mean score. Counts N path evaluations per
+    position.
     """
     n = len(scenarios)
     if base_mean is None:
-        base_mean = (
-            math.fsum(path_reward(inst, agent, path, sc).reward for sc in scenarios) / n
-        )
+        base_mean = _mean_reward(inst, agent, path, scenarios)
     best_gain, best_pos = None, 0
     for pos in range(len(path) + 1):
         candidate = path[:pos] + [task_id] + path[pos:]
@@ -184,32 +166,21 @@ def _build_insertion_bundle(
             scenarios = _sample_scenarios(
                 inst, robust_cfg, call_state["calls"] * (agent.id + 1)
             )
-            base = (
-                math.fsum(
-                    path_reward(inst, agent, state.path, sc).reward
-                    for sc in scenarios
-                )
-                / len(scenarios)
-            )
         else:
-            scenarios = None
-            base = path_reward(inst, agent, state.path).reward
+            scenarios = [mean_scenario(inst)]
+        base = _mean_reward(inst, agent, state.path, scenarios)
         best = None  # (offer, task, pos)
         for j in range(inst.n_tasks):
             if j in state.bundle:
                 continue
-            if robust:
-                gain, pos = robust_insertion_bid(
-                    inst, agent, state.path, j, scenarios, counter, base_mean=base
-                )
-                offer = wrap_bid(
-                    gain, [float(state.winning_bids[b]) for b in state.bundle]
-                )
-            else:
-                gain, pos = cbba_insertion_bid(
-                    inst, agent, state.path, j, counter, base_score=base
-                )
-                offer = gain
+            gain, pos = insertion_bid(
+                inst, agent, state.path, j, scenarios, counter, base_mean=base
+            )
+            offer = (
+                wrap_bid(gain, [float(state.winning_bids[b]) for b in state.bundle])
+                if robust
+                else gain
+            )
             if offer <= 0.0 or not offer > float(state.winning_bids[j]):
                 continue
             if best is None or offer > best[0]:
@@ -268,17 +239,11 @@ def run_cbba(
     rounds, converged, oscillating = run_coordination(
         inst, network, states, build, max_rounds, trace=trace
     )
-    per_agent_value = {}
-    for agent in inst.agents:
-        path = states[agent.id].path
-        if robust:
-            scenarios = _sample_scenarios(inst, robust_cfg, 0)
-            per_agent_value[agent.id] = (
-                math.fsum(path_reward(inst, agent, path, sc).reward for sc in scenarios)
-                / len(scenarios)
-            )
-        else:
-            per_agent_value[agent.id] = path_reward(inst, agent, path).reward
+    scenarios = _sample_scenarios(inst, robust_cfg, 0) if robust else [mean_scenario(inst)]
+    per_agent_value = {
+        agent.id: _mean_reward(inst, agent, states[agent.id].path, scenarios)
+        for agent in inst.agents
+    }
     return _finish_result(
         "cbba" if not robust else "robust-cbba",
         inst,

@@ -8,19 +8,22 @@ compare byte for byte.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import sys
 from pathlib import Path
 
-from .auction import TOPOLOGIES, NetworkModel, run_auction
-from .baselines import RobustConfig, run_cbba
+from .auction import TOPOLOGIES, NetworkModel
+from .baselines import RobustConfig
 from .harness import (
+    METHODS,
     bench_complexity,
     convergence_study,
     csv_text,
     derive_seed,
     format_float,
     optimality_study,
+    run_method,
     submodularity_study,
 )
 from .instance import (
@@ -31,23 +34,8 @@ from .instance import (
     save_instance,
     serialize_instance,
 )
+from .rollout import RolloutReport
 from .rollout import validate as rollout_validate
-from .valuedp import ValueSolver
-
-METHODS = ("auction", "cbba", "robust-cbba")
-
-VALIDATE_COLUMNS = [
-    "instance_seed",
-    "method",
-    "rollout_count",
-    "expected_reward",
-    "actual_reward_mean",
-    "actual_reward_std",
-    "finish_rate",
-    "served_total",
-    "failed_total",
-    "unassigned_total",
-]
 
 BENCH_COLUMNS = [
     "n_tasks",
@@ -93,23 +81,13 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _solve_one(inst, args, method):
-    network = NetworkModel.from_name(args.topology, inst.n_agents, args.seed)
-    if method == "auction":
-        solver = ValueSolver(inst, quadrature_nodes=args.quadrature, grid_step=args.grid)
-        allocation = run_auction(
-            inst, network=network, solver=solver, wrapping=args.wrap
-        )
-        return allocation, solver
-    variant = "robust" if method == "robust-cbba" else "deterministic"
-    rc = RobustConfig(sample_count=args.samples, seed=args.seed)
-    allocation = run_cbba(inst, network=network, variant=variant, robust_cfg=rc)
-    return allocation, None
-
-
 def _cmd_solve(args) -> int:
     inst = load_instance(args.instance)
-    allocation, _ = _solve_one(inst, args, args.method)
+    network = NetworkModel.from_name(args.topology, inst.n_agents, args.seed)
+    allocation, _, _, _ = run_method(
+        inst, args.method, network, RobustConfig(args.samples, args.seed),
+        args.quadrature, args.grid, args.wrap,
+    )
     out = io.StringIO()
     out.write(f"method: {allocation.method}\n")
     for agent in inst.agents:
@@ -163,10 +141,14 @@ def _cmd_validate(args) -> int:
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}")
+    network = NetworkModel.from_name(args.topology, inst.n_agents, args.seed)
+    robust_cfg = RobustConfig(args.samples, args.seed)
     allocations = {}
     auction_solver = None
     for method in methods:
-        allocation, solver = _solve_one(inst, args, method)
+        allocation, solver, _, _ = run_method(
+            inst, method, network, robust_cfg, args.quadrature, args.grid, args.wrap
+        )
         allocations[method] = allocation
         if method == "auction":
             auction_solver = solver
@@ -183,7 +165,8 @@ def _cmd_validate(args) -> int:
             f"finish_rate {format_float(row['finish_rate'])}\n"
         )
     if args.out:
-        Path(args.out).write_text(csv_text(rows, VALIDATE_COLUMNS), newline="")
+        columns = [f.name for f in dataclasses.fields(RolloutReport)]
+        Path(args.out).write_text(csv_text(rows, columns), newline="")
     return 0
 
 
@@ -290,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--sigma", type=float, default=0.1)
-    p.add_argument("--methods", type=str, default="auction,cbba,robust-cbba")
+    p.add_argument("--methods", type=str, default=",".join(METHODS))
     p.add_argument("--rounds", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--quadrature", type=int, default=8)

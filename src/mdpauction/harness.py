@@ -24,6 +24,7 @@ from .baselines import RobustConfig, run_cbba
 from .instance import GenerationConfig, MissionInstance, generate_instance
 from .rollout import validate
 from .valuedp import (
+    SUBSET_CAP,
     Scenario,
     ValueSolver,
     build_quadrature,
@@ -31,6 +32,9 @@ from .valuedp import (
 )
 
 SUBMODULARITY_TOLERANCE = 1e-9
+
+# the allocation methods `run_method` knows, in report order
+METHODS = ("auction", "cbba", "robust-cbba")
 
 CSV_COLUMNS = [
     "n_tasks",
@@ -246,7 +250,7 @@ class ExperimentConfig:
     dimensions: tuple[tuple[int, int], ...] = ((2, 2), (3, 2), (4, 2), (5, 2))
     sigma_grid: tuple[float, ...] = (0.0, 0.05, 0.1, 0.2)
     instances_per_cell: int = 10
-    methods: tuple[str, ...] = ("auction", "cbba", "robust-cbba")
+    methods: tuple[str, ...] = METHODS
     rollout_rounds: int = 100
     robust_samples: int = 100
     quadrature_nodes: int = 8
@@ -261,50 +265,46 @@ def derive_seed(master: int, *keys: int) -> int:
     return int(np.random.SeedSequence([master, *keys]).generate_state(1)[0])
 
 
-def _coordinate(
-    inst: MissionInstance, method: str, cfg: ExperimentConfig, network: NetworkModel
+def run_method(
+    inst: MissionInstance,
+    method: str,
+    network: NetworkModel,
+    robust_cfg: RobustConfig,
+    quadrature_nodes: int = 8,
+    grid_step: float = 1.0,
+    wrapping: bool = True,
+    max_rounds: int | None = None,
 ) -> tuple[AllocationResult, ValueSolver | None, float, float]:
-    """Run one method; returns (allocation, solver, setup_s, coordination_s)."""
+    """Allocate `inst` with one of METHODS.
+
+    Returns (allocation, solver, setup_s, coordination_s); the solver is the
+    auction's (its tables drive the rollout policies) and None for the CBBA
+    variants, which read `robust_cfg`. Within SUBSET_CAP the auction's
+    full-task-set tables are built before coordination starts and timed as
+    setup; beyond it tables are solved per queried set, so setup is 0.
+    """
     if method == "auction":
-        solver = ValueSolver(
-            inst, quadrature_nodes=cfg.quadrature_nodes, grid_step=cfg.grid_step
-        )
+        solver = ValueSolver(inst, quadrature_nodes=quadrature_nodes, grid_step=grid_step)
         t0 = time.perf_counter()
-        for agent in inst.agents:
-            solver.table(agent)  # tables are built before coordination starts
+        if inst.n_tasks <= SUBSET_CAP:
+            for agent in inst.agents:
+                solver.table(agent)
         t1 = time.perf_counter()
         allocation = run_auction(
-            inst,
-            network=network,
-            solver=solver,
-            wrapping=cfg.wrapping,
-            max_rounds=cfg.max_rounds,
+            inst, network=network, solver=solver, wrapping=wrapping, max_rounds=max_rounds
         )
-        t2 = time.perf_counter()
-        return allocation, solver, t1 - t0, t2 - t1
-    if method == "cbba":
-        t0 = time.perf_counter()
-        allocation = run_cbba(
-            inst, network=network, variant="deterministic", max_rounds=cfg.max_rounds
-        )
-        t1 = time.perf_counter()
-        return allocation, None, 0.0, t1 - t0
-    if method == "robust-cbba":
-        rc = RobustConfig(
-            sample_count=cfg.robust_samples,
-            seed=derive_seed(cfg.master_seed, 7001, inst.seed or 0),
-        )
-        t0 = time.perf_counter()
-        allocation = run_cbba(
-            inst,
-            network=network,
-            variant="robust",
-            robust_cfg=rc,
-            max_rounds=cfg.max_rounds,
-        )
-        t1 = time.perf_counter()
-        return allocation, None, 0.0, t1 - t0
-    raise ValueError(f"unknown method {method!r}")
+        return allocation, solver, t1 - t0, time.perf_counter() - t1
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    t0 = time.perf_counter()
+    allocation = run_cbba(
+        inst,
+        network=network,
+        variant="robust" if method == "robust-cbba" else "deterministic",
+        robust_cfg=robust_cfg,
+        max_rounds=max_rounds,
+    )
+    return allocation, None, 0.0, time.perf_counter() - t0
 
 
 def run_cell_instance(cfg: ExperimentConfig, n: int, m: int, sigma: float, seed: int) -> list[dict]:
@@ -313,12 +313,16 @@ def run_cell_instance(cfg: ExperimentConfig, n: int, m: int, sigma: float, seed:
         GenerationConfig(n_tasks=n, n_agents=m, sigma_v_sq=sigma, seed=seed)
     )
     network = NetworkModel.from_name(cfg.topology, m, cfg.master_seed)
+    robust_cfg = RobustConfig(cfg.robust_samples, derive_seed(cfg.master_seed, 7001, seed))
     rows = []
     allocations: dict[str, AllocationResult] = {}
     solvers: dict[str, ValueSolver | None] = {}
     timings: dict[str, tuple[float, float]] = {}
     for method in cfg.methods:
-        allocation, solver, setup_s, coord_s = _coordinate(inst, method, cfg, network)
+        allocation, solver, setup_s, coord_s = run_method(
+            inst, method, network, robust_cfg, cfg.quadrature_nodes, cfg.grid_step,
+            cfg.wrapping, cfg.max_rounds,
+        )
         allocations[method] = allocation
         solvers[method] = solver
         timings[method] = (setup_s, coord_s)
@@ -610,13 +614,11 @@ def bench_complexity(
     if instances_per_n < 1:
         raise ValueError(f"instances_per_n must be >= 1, got {instances_per_n}")
     rows = []
-    cfg = ExperimentConfig(robust_samples=robust_samples, master_seed=seed,
-                           rollout_rounds=0)
     for n in n_values:
         totals = {
             method: {"evaluations": 0, "setup_wall_s": 0.0,
                      "coordination_wall_s": 0.0}
-            for method in ("auction", "cbba", "robust-cbba")
+            for method in METHODS
         }
         network = NetworkModel.complete(n_agents)
         first_seed = None
@@ -629,12 +631,13 @@ def bench_complexity(
                     n_tasks=n, n_agents=n_agents, sigma_v_sq=0.0, seed=inst_seed
                 )
             )
+            robust_cfg = RobustConfig(robust_samples, derive_seed(seed, 7001, inst_seed))
             for method, stats in totals.items():
                 best_setup, best_coord = math.inf, math.inf
                 allocation = None
                 for _ in range(repeats):
-                    allocation, _, setup_s, coord_s = _coordinate(
-                        inst, method, cfg, network
+                    allocation, _, setup_s, coord_s = run_method(
+                        inst, method, network, robust_cfg
                     )
                     best_setup = min(best_setup, setup_s)
                     best_coord = min(best_coord, coord_s)

@@ -133,13 +133,6 @@ class MissionInstance:
         """The mission's speed model, which validation makes every agent share."""
         return self.agents[0].speed
 
-    def locations(self) -> list[Location]:
-        """Location 0 is the depot, location j+1 is task j."""
-        return [self.depot] + [t.location for t in self.tasks]
-
-    def location_of(self, index: int) -> Location:
-        return self.depot if index == 0 else self.tasks[index - 1].location
-
 
 def validate_instance(inst: MissionInstance) -> None:
     """Check cross-field invariants; raises InstanceFormatError on the first one broken."""

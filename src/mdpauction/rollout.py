@@ -13,7 +13,7 @@ served, and for every task left unassigned by the planner.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import compress
 from typing import Union
 
@@ -63,18 +63,7 @@ class RolloutReport:
     unassigned_total: int
 
     def as_row(self) -> dict:
-        return {
-            "instance_seed": self.instance_seed,
-            "method": self.method,
-            "rollout_count": self.rollout_count,
-            "expected_reward": self.expected_reward,
-            "actual_reward_mean": self.actual_reward_mean,
-            "actual_reward_std": self.actual_reward_std,
-            "finish_rate": self.finish_rate,
-            "served_total": self.served_total,
-            "failed_total": self.failed_total,
-            "unassigned_total": self.unassigned_total,
-        }
+        return asdict(self)
 
 
 def sample_scenario(inst: MissionInstance, seed: int) -> Scenario:

@@ -179,7 +179,6 @@ def solve_value(
     allocated: Iterable[int],
     quad: QuadratureRule | None = None,
     grid_step: float = 1.0,
-    subset_cap: int = SUBSET_CAP,
 ) -> ValueTable:
     """Solve the subset DP for `allocated` and return the full value table.
 
@@ -210,8 +209,8 @@ def solve_value(
         if not (0 <= j < inst.n_tasks):
             raise ValueError(f"unknown task id {j}")
     k = len(task_ids)
-    if k > subset_cap:
-        raise ValueError(f"|allocated| = {k} exceeds the subset cap {subset_cap}")
+    if k > SUBSET_CAP:
+        raise ValueError(f"|allocated| = {k} exceeds the subset cap {SUBSET_CAP}")
     if quad is None:
         # one node suffices at zero variance and keeps sums exact
         quad = build_quadrature(agent.speed, 1 if agent.speed.variance == 0.0 else 8)
@@ -399,7 +398,6 @@ class ValueSolver:
         inst: MissionInstance,
         quadrature_nodes: int = 8,
         grid_step: float = 1.0,
-        subset_cap: int = SUBSET_CAP,
     ):
         # zero variance collapses to the exact single node whatever Q is
         nodes = 1 if inst.speed.variance == 0.0 else quadrature_nodes
@@ -408,7 +406,6 @@ class ValueSolver:
         self.instance = inst
         self.quad = build_quadrature(inst.speed, nodes)
         self.grid_step = float(grid_step)
-        self.subset_cap = subset_cap
         self.evaluations: dict[int, int] = {a.id: 0 for a in inst.agents}
         # keyed by (start, ground set)
         self._tables: dict[tuple, ValueTable] = {}
@@ -422,7 +419,7 @@ class ValueSolver:
         if allocated is None:
             allocated = range(self.instance.n_tasks)
         wanted = tuple(sorted(set(int(j) for j in allocated)))
-        if self.instance.n_tasks <= self.subset_cap:
+        if self.instance.n_tasks <= SUBSET_CAP:
             ground = tuple(range(self.instance.n_tasks))
         else:
             ground = wanted
@@ -435,7 +432,6 @@ class ValueSolver:
                 ground,
                 quad=self.quad,
                 grid_step=self.grid_step,
-                subset_cap=self.subset_cap,
             )
             self._tables[key] = tab
         return tab
@@ -455,10 +451,6 @@ class ValueSolver:
         with_task = self.set_value(agent, base | {task_id})
         without = self.set_value(agent, base)
         return with_task - without
-
-    def action_value(self, agent: AgentSpec, state: AgentState, action: Action) -> float:
-        """Expected value of one action, recomputed from table children."""
-        return action_value(self.table(agent, state.remaining), state, action)
 
 
 def deterministic_route_reward(

@@ -7,7 +7,9 @@ ceiling of (service start + duration) / step. `scalar_value_tables` is the
 per-state table solver kept as a bit-exact reference for the layer pass, and
 `validate_per_scenario` is the one-scenario-at-a-time rollout loop, with its
 own policy read and decoding, kept as a bit-exact reference for the lockstep
-rollouts.
+rollouts. `cbba_insertion_bid` scores each insertion position once at mean
+speed, with no scenario list, as a reference for `baselines.insertion_bid` over
+the one mean-speed scenario.
 """
 
 import itertools
@@ -16,6 +18,7 @@ from collections import Counter
 
 import numpy as np
 
+from mdpauction.baselines import path_reward
 from mdpauction.instance import distance
 from mdpauction.rollout import FixedPath, RolloutReport, build_policies
 from mdpauction.valuedp import FINISH, SERVE, SKIP, Action, AgentState, Scenario
@@ -324,3 +327,23 @@ def validate_per_scenario(inst, allocations, rounds, seed, solver=None, stops=No
         )
         outcomes[method] = runs
     return reports, outcomes
+
+
+def cbba_insertion_bid(inst, agent, path, task_id, counter=None, base_score=None):
+    """Best mean-speed insertion gain for task_id over all |path|+1 positions.
+
+    Returns (bid, position); ties go to the lowest position. Counts one path
+    evaluation per position.
+    """
+    if base_score is None:
+        base_score = path_reward(inst, agent, path).reward
+    best_gain, best_pos = None, 0
+    for pos in range(len(path) + 1):
+        candidate = path[:pos] + [task_id] + path[pos:]
+        score = path_reward(inst, agent, candidate).reward
+        if counter is not None:
+            counter.count += 1
+        gain = score - base_score
+        if best_gain is None or gain > best_gain:
+            best_gain, best_pos = gain, pos
+    return best_gain, best_pos

@@ -7,9 +7,8 @@ from mdpauction.baselines import (
     EvalCounter,
     RobustConfig,
     _sample_scenarios,
-    cbba_insertion_bid,
+    insertion_bid,
     path_reward,
-    robust_insertion_bid,
     run_cbba,
 )
 from mdpauction.instance import (
@@ -23,6 +22,7 @@ from mdpauction.instance import (
 )
 from mdpauction.valuedp import Scenario, deterministic_route_reward, mean_scenario
 from mdpauction.auction import run_auction
+from oracles import cbba_insertion_bid
 
 
 def make_task(i, x, y=0.0, ready=0.0, due=480.0, tau=10.0, windowed=True):
@@ -103,13 +103,13 @@ def test_path_reward_matches_order_restricted_route():
         assert path_reward(inst, agent, path).reward == reward
 
 
-# --- cbba_insertion_bid -----------------------------------------------------------
+# --- insertion_bid over the mean-speed scenario ------------------------------------
 
 
 def test_insertion_empty_path():
     inst = make_instance([make_task(0, 10.0)], [(0.0, 0.0)])
     counter = EvalCounter()
-    bid, pos = cbba_insertion_bid(inst, inst.agents[0], [], 0, counter)
+    bid, pos = insertion_bid(inst, inst.agents[0], [], 0, [mean_scenario(inst)], counter)
     assert bid == 1.0
     assert pos == 0
     assert counter.count == 1
@@ -119,7 +119,7 @@ def test_insertion_counts_positions():
     tasks = [make_task(i, 10.0 * (i + 1)) for i in range(4)]
     inst = make_instance(tasks, [(0.0, 0.0)])
     counter = EvalCounter()
-    cbba_insertion_bid(inst, inst.agents[0], [0, 1, 2], 3, counter)
+    insertion_bid(inst, inst.agents[0], [0, 1, 2], 3, [mean_scenario(inst)], counter)
     assert counter.count == 4  # |path| + 1
 
 
@@ -130,7 +130,7 @@ def test_insertion_interior_position():
     b = make_task(2, 30.0, due=55.0)
     inst = make_instance([a, c, b], [(0.0, 0.0)])
     agent = inst.agents[0]
-    bid, pos = cbba_insertion_bid(inst, agent, [0, 2], 1)
+    bid, pos = insertion_bid(inst, agent, [0, 2], 1, [mean_scenario(inst)])
     assert pos == 1
     assert bid == 1.0
     # exhaustive check over the three positions
@@ -144,11 +144,39 @@ def test_insertion_does_not_mutate_path():
     tasks = [make_task(i, 10.0 * (i + 1)) for i in range(3)]
     inst = make_instance(tasks, [(0.0, 0.0)])
     path = [0, 1]
-    cbba_insertion_bid(inst, inst.agents[0], path, 2)
+    insertion_bid(inst, inst.agents[0], path, 2, [mean_scenario(inst)])
     assert path == [0, 1]
 
 
-# --- robust_insertion_bid -----------------------------------------------------------
+def test_mean_scenario_bid_bit_identical_to_mean_speed_oracle():
+    # the deterministic CBBA bid is the sampled bid over the one mean-speed
+    # scenario: same bid bits, position and evaluation count as the
+    # mean-speed oracle, on windowed and unwindowed tasks alike
+    rng = np.random.default_rng(1009)
+    seen = {"windowed": 0, "unwindowed": 0, "positive": 0, "nonpositive": 0,
+            "interior": 0}
+    for case in range(240):
+        sigma = (0.0, 0.1)[case % 2]
+        length = (case // 2) % 6
+        inst = generate_instance(GenerationConfig(
+            n_tasks=length + 1 + int(rng.integers(0, 3)), n_agents=2,
+            sigma_v_sq=sigma, seed=int(rng.integers(2**31))))
+        agent = inst.agents[case % 2]
+        order = [int(j) for j in rng.permutation(inst.n_tasks)]
+        path, task_id = order[:length], order[length]
+        want_counter, got_counter = EvalCounter(), EvalCounter()
+        want = cbba_insertion_bid(inst, agent, path, task_id, want_counter)
+        got = insertion_bid(inst, agent, path, task_id, [mean_scenario(inst)],
+                            got_counter)
+        assert (got[0].hex(), got[1]) == (want[0].hex(), want[1]), (case, path, task_id)
+        assert got_counter.count == want_counter.count == length + 1
+        seen["windowed" if inst.tasks[task_id].windowed else "unwindowed"] += 1
+        seen["positive" if got[0] > 0.0 else "nonpositive"] += 1
+        seen["interior"] += 0 < got[1] < length
+    assert all(seen.values()), seen
+
+
+# --- insertion_bid over sampled scenarios -------------------------------------------
 
 
 def test_robust_equals_deterministic_at_zero_variance():
@@ -157,8 +185,8 @@ def test_robust_equals_deterministic_at_zero_variance():
     agent = inst.agents[0]
     scenarios = _sample_scenarios(inst, RobustConfig(sample_count=7, seed=5), 1)
     for path, j in ([[], 0], [[0], 1], [[0, 1], 2], [[1], 2]):
-        det_bid, det_pos = cbba_insertion_bid(inst, agent, path, j)
-        rob_bid, rob_pos = robust_insertion_bid(inst, agent, path, j, scenarios)
+        det_bid, det_pos = insertion_bid(inst, agent, path, j, [mean_scenario(inst)])
+        rob_bid, rob_pos = insertion_bid(inst, agent, path, j, scenarios)
         assert rob_bid == det_bid
         assert rob_pos == det_pos
 
@@ -168,7 +196,7 @@ def test_robust_counter_is_n_times_positions():
     inst = make_instance(tasks, [(0.0, 0.0)], sigma=0.1)
     counter = EvalCounter()
     scenarios = _sample_scenarios(inst, RobustConfig(sample_count=9, seed=2), 1)
-    robust_insertion_bid(inst, inst.agents[0], [0, 1], 2, scenarios, counter)
+    insertion_bid(inst, inst.agents[0], [0, 1], 2, scenarios, counter)
     assert counter.count == 9 * 3
 
 

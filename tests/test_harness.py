@@ -254,6 +254,22 @@ def test_parallel_sweep_records_errors_like_serial(monkeypatch):
     assert parallel.errors == serial.errors
 
 
+def test_sweep_runs_missions_beyond_the_subset_cap():
+    # n = 13 > SUBSET_CAP: the auction solves tables per queried set, as
+    # `mdpauction validate` does, instead of prebuilding one over all tasks
+    cfg = ExperimentConfig(dimensions=((13, 4),), sigma_grid=(0.0,),
+                           instances_per_cell=1, methods=("auction",),
+                           rollout_rounds=10)
+    result = run_experiment(cfg)
+    assert result.errors == []
+    (row,) = result.rows
+    inst = generate_instance(GenerationConfig(
+        n_tasks=13, n_agents=4, sigma_v_sq=0.0, seed=row["instance_seed"]))
+    allocation = run_auction(inst, network=NetworkModel.complete(4),
+                             solver=ValueSolver(inst))
+    assert row["expected_reward"] == allocation.expected_reward(inst)
+
+
 def test_rows_to_csv_layout():
     cfg = small_config()
     rows = run_experiment(cfg).rows

@@ -1,0 +1,87 @@
+"""Print one sha256 over the program's deterministic outputs.
+
+    python3 tools/same_bytes.py [CHECKOUT]
+
+CHECKOUT (default: this repository) is a checkout whose `src/` is imported.
+Run it on two checkouts: equal digests mean every output below has the same
+bytes. The outputs are `solve` stdout and `--out` JSON for every method and
+topology on generated missions with sigma^2 0 and 0.1, `validate` stdout and
+CSV, the `bench` CSV without its wall-time columns, `check` for optimality,
+monotonicity and convergence, and one `run_experiment` sweep (rows without
+wall times, plus its error records). Every command's exit code is included.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+
+def collect(work: Path) -> list[tuple[str, str]]:
+    """Every output as (label, text); files go to `work`, the working directory."""
+    from mdpauction import cli, harness
+    from mdpauction.auction import TOPOLOGIES
+
+    outputs = []
+
+    def run(args: list[str], out: Path | None = None, strip_wall: bool = False) -> None:
+        """Run the CLI in-process; keep its exit code, stdout, stderr and `--out` file."""
+        stdout, stderr = io.StringIO(), io.StringIO()
+        if out is not None:
+            out.unlink(missing_ok=True)
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(args + (["--out", str(out)] if out else []))
+        outputs.append((" ".join(args), f"exit {code}\n{stdout.getvalue()}\n{stderr.getvalue()}"))
+        if out is not None:
+            text = out.read_text() if out.exists() else "<no file>"
+            outputs.append((f"{args[0]} --out",
+                            harness.strip_wall_columns(text) if strip_wall else text))
+
+    for sigma in ("0", "0.1"):
+        mission = work / f"mission-{sigma}.json"
+        run(["gen", "--n", "7", "--m", "4", "--sigma", sigma, "--seed", "11",
+             "--out", str(mission)])
+        for method in ("auction", "cbba", "robust-cbba"):
+            for topology in TOPOLOGIES:
+                run(["solve", str(mission), "--method", method, "--topology", topology,
+                     "--samples", "30", "--seed", "3"], work / "solve.json")
+        run(["solve", str(mission), "--quadrature", "3", "--grid", "2"], work / "solve.json")
+        run(["validate", str(mission), "--rounds", "200", "--samples", "30"],
+            work / "validate.csv")
+    run(["bench", "--dims", "2,3", "--repeats", "1", "--samples", "20"],
+        work / "bench.csv", strip_wall=True)
+    for prop in ("optimality", "monotonicity", "convergence"):
+        run(["check", "--property", prop, "--trials", "12", "--seed", "5"])
+
+    sweep = harness.run_experiment(harness.ExperimentConfig(
+        dimensions=((2, 2), (4, 3), (3, 0)), sigma_grid=(0.0, 0.1), instances_per_cell=2,
+        rollout_rounds=20, robust_samples=10, topology="ring", master_seed=9))
+    outputs.append(("sweep rows", harness.rows_to_csv(sweep.rows, include_wall=False)))
+    outputs.append(("sweep errors", json.dumps(sweep.errors, sort_keys=True)))
+    return outputs
+
+
+def main() -> None:
+    checkout = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).parents[1]).resolve()
+    sys.path.insert(0, str(checkout / "src"))
+    home = Path.cwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # relative file names keep the temporary path out of the digest
+        try:
+            outputs = collect(Path())
+        finally:
+            os.chdir(home)
+    digest = hashlib.sha256()
+    for label, text in outputs:
+        digest.update(f"{label}\n{len(text)}\n{text}\n".encode())
+    print(f"{digest.hexdigest()}  ({len(outputs)} outputs, {checkout})")
+
+
+if __name__ == "__main__":
+    main()
