@@ -18,6 +18,7 @@ from .baselines import RobustConfig
 from .harness import (
     METHODS,
     bench_complexity,
+    check_monotonicity_V,
     convergence_study,
     csv_text,
     derive_seed,
@@ -50,6 +51,8 @@ BENCH_COLUMNS = [
 
 
 def _cmd_gen(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be >= 1, got {args.count}")
     cfg = GenerationConfig(
         n_tasks=args.n,
         n_agents=args.m,
@@ -138,9 +141,13 @@ def _cmd_validate(args) -> int:
             )
         )
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    for m in methods:
+    if not methods:
+        raise ValueError(f"--methods names no method: {args.methods!r}")
+    for i, m in enumerate(methods):
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}")
+        if m in methods[:i]:
+            raise ValueError(f"method {m!r} is repeated in --methods")
     network = NetworkModel.from_name(args.topology, inst.n_agents, args.seed)
     robust_cfg = RobustConfig(args.samples, args.seed)
     allocations = {}
@@ -199,8 +206,6 @@ def _cmd_check(args) -> int:
         )
         violations += study["violations"]
     if args.property in ("monotonicity", "all"):
-        from .harness import check_monotonicity_V
-
         bad = 0
         checks = 0
         for i in range(args.trials):

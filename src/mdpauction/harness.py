@@ -25,13 +25,13 @@ from .instance import GenerationConfig, MissionInstance, generate_instance
 from .rollout import validate
 from .valuedp import (
     SUBSET_CAP,
-    Scenario,
     ValueSolver,
     build_quadrature,
     deterministic_route_reward,
 )
 
 SUBMODULARITY_TOLERANCE = 1e-9
+SCREEN_BYTES_CAP = 1 << 26  # bytes of scenario speeds `classify_r_submodular` may hold
 
 # the allocation methods `run_method` knows, in report order
 METHODS = ("auction", "cbba", "robust-cbba")
@@ -86,6 +86,39 @@ def _subsets(ids: tuple[int, ...]):
         yield from itertools.combinations(ids, r)
 
 
+def _nested(ids: tuple[int, ...]):
+    """(small, big) for every subset `big` of ids and every subset `small` of it."""
+    for big in _subsets(ids):
+        for small in _subsets(big):
+            yield small, big
+
+
+def _gains(values: dict, ids: tuple[int, ...]):
+    """(small, big, j, gain_small, gain_big) for nested pairs and each j outside big.
+
+    `values` maps each sorted subset of ids to a float or an array of floats.
+    """
+    for small, big in _nested(ids):
+        for j in ids:
+            if j in big:
+                continue
+            gain_small = values[tuple(sorted(small + (j,)))] - values[small]
+            gain_big = values[tuple(sorted(big + (j,)))] - values[big]
+            yield small, big, j, gain_small, gain_big
+
+
+def _set_values(inst: MissionInstance, agent, max_set: int, solver: ValueSolver | None):
+    """(task ids, V at the agent's start for every subset) for the V checks."""
+    if inst.n_tasks > max_set:
+        raise ValueError(f"instance has {inst.n_tasks} tasks; cap is {max_set}")
+    if agent is None:
+        agent = inst.agents[0]
+    if solver is None:
+        solver = ValueSolver(inst)
+    ids = tuple(range(inst.n_tasks))
+    return ids, {s: solver.set_value(agent, s) for s in _subsets(ids)}
+
+
 def check_submodularity_V(
     inst: MissionInstance,
     agent=None,
@@ -94,36 +127,12 @@ def check_submodularity_V(
     tolerance: float = SUBMODULARITY_TOLERANCE,
 ) -> PropertyReport:
     """Exhaustive V(A+j) - V(A) >= V(B+j) - V(B) over nested A within B."""
-    if inst.n_tasks > max_set:
-        raise ValueError(f"instance has {inst.n_tasks} tasks; cap is {max_set}")
-    if agent is None:
-        agent = inst.agents[0]
-    if solver is None:
-        solver = ValueSolver(inst)
-    ids = tuple(range(inst.n_tasks))
-    values = {
-        s: solver.set_value(agent, s) for s in _subsets(ids)
-    }
+    ids, values = _set_values(inst, agent, max_set, solver)
     report = PropertyReport(name="submodularity")
-    for big in _subsets(ids):
-        big_set = set(big)
-        for small in _subsets(big):
-            for j in ids:
-                if j in big_set:
-                    continue
-                gain_small = values[tuple(sorted(set(small) | {j}))] - values[small]
-                gain_big = values[tuple(sorted(big_set | {j}))] - values[big]
-                report.record(
-                    gain_big - gain_small,
-                    {
-                        "small": small,
-                        "big": big,
-                        "task": j,
-                        "gain_small": gain_small,
-                        "gain_big": gain_big,
-                    },
-                    tolerance,
-                )
+    for small, big, j, gain_small, gain_big in _gains(values, ids):
+        witness = {"small": small, "big": big, "task": j,
+                   "gain_small": gain_small, "gain_big": gain_big}
+        report.record(gain_big - gain_small, witness, tolerance)
     return report
 
 
@@ -134,31 +143,12 @@ def check_monotonicity_V(
     solver: ValueSolver | None = None,
 ) -> PropertyReport:
     """V(B) >= V(A) for A within B; holds structurally through the skip action."""
-    if inst.n_tasks > max_set:
-        raise ValueError(f"instance has {inst.n_tasks} tasks; cap is {max_set}")
-    if agent is None:
-        agent = inst.agents[0]
-    if solver is None:
-        solver = ValueSolver(inst)
-    ids = tuple(range(inst.n_tasks))
-    values = {s: solver.set_value(agent, s) for s in _subsets(ids)}
+    ids, values = _set_values(inst, agent, max_set, solver)
     report = PropertyReport(name="monotonicity")
-    for big in _subsets(ids):
-        for small in _subsets(big):
-            report.record(
-                values[small] - values[big],
-                {"small": small, "big": big},
-                SUBMODULARITY_TOLERANCE,
-            )
+    for small, big in _nested(ids):
+        report.record(values[small] - values[big], {"small": small, "big": big},
+                      SUBMODULARITY_TOLERANCE)
     return report
-
-
-def _scenario_from_nodes(inst: MissionInstance, arcs, node_speeds, assignment) -> Scenario:
-    n = inst.n_tasks + 1
-    speeds = np.full((n, n), inst.speed.mean)
-    for (a, b), q in zip(arcs, assignment):
-        speeds[a, b] = node_speeds[q]
-    return Scenario(speeds)
 
 
 def classify_r_submodular(
@@ -170,37 +160,30 @@ def classify_r_submodular(
     """Scenario-wise brute force: is the clairvoyant route reward submodular for
     every combination of quadrature-node speeds on the traversable arcs?
 
-    Arcs are depot->task and task->task ordered pairs; Q^(arcs) combinations,
-    so this is only meant for very small instances.
+    Arcs are depot->task and task->task ordered pairs. The Q^arcs combinations
+    are the rows of one (Q^arcs, L, L) speed array, scored at once; an array over
+    SCREEN_BYTES_CAP bytes is refused before anything is allocated. The
+    assignment grid and the per-subset rewards are each no larger than the
+    array, so the peak is about three times it: 38 MiB for the 13 MB array of
+    n = 4 at Q = 2. n = 5 at Q = 2 (about 10 GB) is refused.
     """
     if agent is None:
         agent = inst.agents[0]
-    n = inst.n_tasks
-    ids = tuple(range(n))
-    arcs = [(0, j + 1) for j in ids] + [
-        (i + 1, j + 1) for i in ids for j in ids if i != j
-    ]
-    quad = build_quadrature(agent.speed, quadrature_nodes)
-    node_speeds = quad.speeds
-    for assignment in itertools.product(range(len(node_speeds)), repeat=len(arcs)):
-        scenario = _scenario_from_nodes(inst, arcs, node_speeds, assignment)
-        rewards = {
-            s: deterministic_route_reward(inst, agent, s, scenario)
-            for s in _subsets(ids)
-        }
-        for big in _subsets(ids):
-            big_set = set(big)
-            for small in _subsets(big):
-                for j in ids:
-                    if j in big_set:
-                        continue
-                    gain_small = (
-                        rewards[tuple(sorted(set(small) | {j}))] - rewards[small]
-                    )
-                    gain_big = rewards[tuple(sorted(big_set | {j}))] - rewards[big]
-                    if gain_big - gain_small > tolerance:
-                        return False
-    return True
+    ids = tuple(range(inst.n_tasks))
+    arcs = [(0, j + 1) for j in ids] + [(i + 1, j + 1) for i in ids for j in ids if i != j]
+    node_speeds = np.array(build_quadrature(agent.speed, quadrature_nodes).speeds)
+    rows, size = len(node_speeds) ** len(arcs), len(ids) + 1
+    if rows * size * size * 8 > SCREEN_BYTES_CAP:
+        raise ValueError(f"route screen needs {rows} speed rows ({len(node_speeds)}^{len(arcs)})"
+                         f" of {size}x{size} floats; the cap is {SCREEN_BYTES_CAP} bytes")
+    speeds = np.full((rows, size, size), inst.speed.mean)
+    # row r gives arc i the node grid[i, r], in itertools.product order
+    grid = np.indices((len(node_speeds),) * len(arcs)).reshape(len(arcs), rows)
+    for (a, b), nodes in zip(arcs, grid):
+        speeds[:, a, b] = node_speeds[nodes]
+    rewards = {s: deterministic_route_reward(inst, agent, s, speeds) for s in _subsets(ids)}
+    return not any(np.any(gain_big - gain_small > tolerance)
+                   for _, _, _, gain_small, gain_big in _gains(rewards, ids))
 
 
 def brute_force_opt(

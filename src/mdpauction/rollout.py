@@ -20,8 +20,8 @@ from typing import Union
 import numpy as np
 
 from .auction import AllocationResult
-from .instance import MissionInstance, distance
-from .valuedp import Scenario, ValueSolver, ValueTable
+from .instance import MissionInstance
+from .valuedp import Legs, Scenario, ValueSolver, ValueTable
 
 
 @dataclass(frozen=True)
@@ -84,33 +84,7 @@ def _sample_speeds(inst: MissionInstance, seeds: list[int]) -> np.ndarray:
     return np.maximum(speeds, speed.truncation_floor, out=speeds)
 
 
-@dataclass(frozen=True)
-class _Legs:
-    """One agent's flights over scenario rows, in scenario location indexing.
-
-    Index 0 is the agent's start; task j is location j+1. Index 0 is never a
-    destination, so the task arrays hold an unused entry there.
-    """
-
-    speeds: np.ndarray  # (R, L, L)
-    dist: np.ndarray  # (L, L) from `instance.distance`; column 0 is unused
-    due: np.ndarray  # (L,)
-    ready: np.ndarray  # (L,)
-    service: np.ndarray  # (L,)
-
-    def fly(self, t, rows, here, to):
-        """Fly `rows` from `here` to `to`; returns (served, clock after the leg).
-
-        A leg is served iff the exact arrival is no later than the due time;
-        then the clock waits for the ready time and adds the service duration.
-        """
-        arrival = t + self.dist[here, to] / self.speeds[rows, here, to]
-        ok = arrival <= self.due[to]
-        return ok, np.where(ok, np.maximum(arrival, self.ready[to]) + self.service[to],
-                            arrival)
-
-
-def _fly_path(legs: _Legs, path: tuple[int, ...], served: np.ndarray) -> None:
+def _fly_path(legs: Legs, path: tuple[int, ...], served: np.ndarray) -> None:
     """Visit `path` in order on every row, passing through failures."""
     t = np.zeros(served.shape[0])
     here = 0
@@ -120,7 +94,7 @@ def _fly_path(legs: _Legs, path: tuple[int, ...], served: np.ndarray) -> None:
         here = j + 1
 
 
-def _follow_table(legs: _Legs, table: ValueTable, assigned: list[int],
+def _follow_table(legs: Legs, table: ValueTable, assigned: list[int],
                   served: np.ndarray) -> None:
     """Every row re-reads the table's action at its snapped state until it finishes.
 
@@ -156,17 +130,8 @@ def _execute_rows(
     """
     served = np.zeros((speeds.shape[0], inst.n_tasks), dtype=bool)
     failed = np.zeros_like(served)
-    places = [t.location for t in inst.tasks]
-    due, ready, service = (
-        np.array([0.0] + [getattr(t, name) for t in inst.tasks])
-        for name in ("due_time", "ready_time", "service_duration")
-    )
-    between = [[distance(a, b) for b in places] for a in places]
     for agent in inst.agents:
-        dist = np.zeros((len(places) + 1,) * 2)
-        dist[0, 1:] = [distance(agent.start, b) for b in places]
-        dist[1:, 1:] = between
-        legs = _Legs(speeds, dist, due, ready, service)
+        legs = Legs.of(inst, agent, speeds)
         assigned = allocation.assignment.get(agent.id, [])
         policy = policies[agent.id]
         if isinstance(policy, FixedPath):

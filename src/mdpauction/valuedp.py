@@ -20,7 +20,7 @@ never references tasks outside `remaining`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 import numpy as np
@@ -103,6 +103,43 @@ class Scenario:
 
     def speed(self, from_index: int, to_index: int) -> float:
         return float(self.speeds[from_index, to_index])
+
+
+@dataclass(frozen=True)
+class Legs:
+    """One agent's flights over scenario rows, in scenario location indexing.
+
+    Index 0 is the agent's start; task j is location j+1. Index 0 is never a
+    destination, so the task arrays hold an unused entry there.
+    """
+
+    speeds: np.ndarray  # (R, L, L)
+    dist: np.ndarray  # (L, L) from `instance.distance`; column 0 is unused
+    due: np.ndarray  # (L,)
+    ready: np.ndarray  # (L,)
+    service: np.ndarray  # (L,)
+
+    @classmethod
+    def of(cls, inst: MissionInstance, agent: AgentSpec, speeds: np.ndarray) -> "Legs":
+        """The agent's legs between its start and every task, on `speeds`."""
+        places = [agent.start] + [t.location for t in inst.tasks]
+        dist = np.array([[distance(a, b) for b in places] for a in places])
+        due, ready, service = (
+            np.array([0.0] + [getattr(t, name) for t in inst.tasks])
+            for name in ("due_time", "ready_time", "service_duration")
+        )
+        return cls(speeds, dist, due, ready, service)
+
+    def fly(self, t, rows, here, to):
+        """Fly `rows` from `here` to `to`; returns (served, clock after the leg).
+
+        A leg is served iff the exact arrival is no later than the due time;
+        then the clock waits for the ready time and adds the service duration.
+        """
+        arrival = t + self.dist[here, to] / self.speeds[rows, here, to]
+        ok = arrival <= self.due[to]
+        return ok, np.where(ok, np.maximum(arrival, self.ready[to]) + self.service[to],
+                            arrival)
 
 
 def mean_scenario(inst: MissionInstance) -> Scenario:
@@ -457,41 +494,29 @@ def deterministic_route_reward(
     inst: MissionInstance,
     agent: AgentSpec,
     allocated: Iterable[int],
-    scenario: Scenario,
-    start_time: float = 0.0,
+    speeds: np.ndarray,
     due_slack: float = 0.0,
-) -> float:
-    """Clairvoyant optimum with travel times fixed by the scenario.
+) -> np.ndarray:
+    """Clairvoyant optimum per scenario row of the (R, L, L) `speeds`.
 
-    Continuous time, no quadrature, no grid. Serving order is optimized
-    exactly by branching over which remaining task to serve next; skipping is
-    implicit (unserved tasks are simply never visited). `due_slack` tightens
-    every due time, which turns the result into the grid DP's lower bracket.
+    Continuous time, no quadrature, no grid; legs follow `Legs.fly`. Serving
+    order is optimized exactly by branching over which remaining task to serve
+    next, for all rows at once; skipping is implicit (unserved tasks are simply
+    never visited). `due_slack` tightens every due time, which turns the
+    result into the grid DP's lower bracket. Returns one reward per row.
     """
-    task_ids = sorted(set(int(j) for j in allocated))
-    tasks = [inst.tasks[j] for j in task_ids]
-    k = len(tasks)
-    locs = [agent.start] + [t.location for t in tasks]
-    dist = [[distance(a, b) for b in locs] for a in locs]
-    loc_index = [0] + [j + 1 for j in task_ids]  # scenario rows for depot + tasks
+    legs = Legs.of(inst, agent, speeds)
+    legs = replace(legs, due=legs.due - due_slack)
+    prices = [0.0] + [t.price for t in inst.tasks]
 
-    def best(mask: int, src: int, t: float) -> float:
-        out = 0.0
-        for a in range(k):
-            bit = 1 << a
-            if not mask & bit:
-                continue
-            task = tasks[a]
-            speed = scenario.speed(loc_index[src], loc_index[1 + a])
-            arrival = t + dist[src][1 + a] / speed
-            if arrival <= task.due_time - due_slack:
-                served = task.price + best(
-                    mask ^ bit, 1 + a, max(arrival, task.ready_time) + task.service_duration
-                )
-            else:
-                served = best(mask ^ bit, 1 + a, arrival)
-            if served > out:
-                out = served
+    def best(left: tuple[int, ...], here: int, t: np.ndarray) -> np.ndarray:
+        out = np.zeros(t.shape)
+        for i, to in enumerate(left):
+            ok, after = legs.fly(t, slice(None), here, to)
+            rest = best(left[:i] + left[i + 1 :], to, after)
+            got = np.where(ok, prices[to] + rest, rest)
+            out = np.where(got > out, got, out)
         return out
 
-    return best((1 << k) - 1, 0, float(start_time))
+    places = tuple(j + 1 for j in sorted(set(int(j) for j in allocated)))
+    return best(places, 0, np.zeros(speeds.shape[0]))

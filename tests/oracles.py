@@ -9,7 +9,10 @@ per-state table solver kept as a bit-exact reference for the layer pass, and
 own policy read and decoding, kept as a bit-exact reference for the lockstep
 rollouts. `cbba_insertion_bid` scores each insertion position once at mean
 speed, with no scenario list, as a reference for `baselines.insertion_bid` over
-the one mean-speed scenario.
+the one mean-speed scenario. `route_reward_per_scenario` is the scalar
+clairvoyant route reward on one scenario, and `classify_per_assignment` the
+route screen built on it one speed assignment at a time, kept as bit-exact
+references for the scenario-batched reward and screen.
 """
 
 import itertools
@@ -21,7 +24,15 @@ import numpy as np
 from mdpauction.baselines import path_reward
 from mdpauction.instance import distance
 from mdpauction.rollout import FixedPath, RolloutReport, build_policies
-from mdpauction.valuedp import FINISH, SERVE, SKIP, Action, AgentState, Scenario
+from mdpauction.valuedp import (
+    FINISH,
+    SERVE,
+    SKIP,
+    Action,
+    AgentState,
+    Scenario,
+    build_quadrature,
+)
 
 
 def simulate_attempt_sequence(inst, agent, sequence, speed, grid_step):
@@ -347,3 +358,70 @@ def cbba_insertion_bid(inst, agent, path, task_id, counter=None, base_score=None
         if best_gain is None or gain > best_gain:
             best_gain, best_pos = gain, pos
     return best_gain, best_pos
+
+
+def route_reward_per_scenario(inst, agent, allocated, scenario, due_slack=0.0):
+    """Clairvoyant continuous-time optimum on one scenario, branching on a bitmask.
+
+    Serves the remaining tasks in every order (skipping is implicit); a leg is
+    served iff its exact arrival is no later than the due time minus
+    `due_slack`, then waits for the ready time and adds the service duration.
+    """
+    task_ids = sorted(set(int(j) for j in allocated))
+    tasks = [inst.tasks[j] for j in task_ids]
+    k = len(tasks)
+    locs = [agent.start] + [t.location for t in tasks]
+    dist = [[distance(a, b) for b in locs] for a in locs]
+    loc_index = [0] + [j + 1 for j in task_ids]  # scenario rows for start + tasks
+
+    def best(mask, src, t):
+        out = 0.0
+        for a in range(k):
+            bit = 1 << a
+            if not mask & bit:
+                continue
+            task = tasks[a]
+            speed = scenario.speed(loc_index[src], loc_index[1 + a])
+            arrival = t + dist[src][1 + a] / speed
+            if arrival <= task.due_time - due_slack:
+                served = task.price + best(
+                    mask ^ bit, 1 + a, max(arrival, task.ready_time) + task.service_duration
+                )
+            else:
+                served = best(mask ^ bit, 1 + a, arrival)
+            if served > out:
+                out = served
+        return out
+
+    return best((1 << k) - 1, 0, 0.0)
+
+
+def assignment_scenarios(inst, agent, quadrature_nodes):
+    """One scenario per node assignment to the start->task and task->task arcs,
+    in itertools.product order."""
+    node_speeds = build_quadrature(agent.speed, quadrature_nodes).speeds
+    ids = range(inst.n_tasks)
+    arcs = [(0, j + 1) for j in ids] + [(i + 1, j + 1) for i in ids for j in ids if i != j]
+    n = inst.n_tasks + 1
+    for assignment in itertools.product(range(len(node_speeds)), repeat=len(arcs)):
+        speeds = np.full((n, n), inst.speed.mean)
+        for (a, b), q in zip(arcs, assignment):
+            speeds[a, b] = node_speeds[q]
+        yield Scenario(speeds)
+
+
+def classify_per_assignment(inst, agent=None, quadrature_nodes=2, tolerance=1e-9):
+    """The route screen one assignment at a time; stops at the first violation."""
+    agent = inst.agents[0] if agent is None else agent
+    ids = tuple(range(inst.n_tasks))
+    subsets = [s for r in range(len(ids) + 1) for s in itertools.combinations(ids, r)]
+    triples = [(small, big, j) for big in subsets for small in subsets
+               if set(small) <= set(big) for j in ids if j not in big]
+    for scenario in assignment_scenarios(inst, agent, quadrature_nodes):
+        rewards = {s: route_reward_per_scenario(inst, agent, s, scenario) for s in subsets}
+        for small, big, j in triples:
+            gain_small = rewards[tuple(sorted(small + (j,)))] - rewards[small]
+            gain_big = rewards[tuple(sorted(big + (j,)))] - rewards[big]
+            if gain_big - gain_small > tolerance:
+                return False
+    return True

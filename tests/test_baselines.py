@@ -20,7 +20,7 @@ from mdpauction.instance import (
     Task,
     generate_instance,
 )
-from mdpauction.valuedp import Scenario, deterministic_route_reward, mean_scenario
+from mdpauction.valuedp import Scenario, mean_scenario
 from mdpauction.auction import run_auction
 from oracles import cbba_insertion_bid
 
@@ -177,6 +177,28 @@ def test_mean_scenario_bid_bit_identical_to_mean_speed_oracle():
 
 
 # --- insertion_bid over sampled scenarios -------------------------------------------
+
+
+def test_mean_speed_bids_are_shared_unwrapped():
+    # Hand-built, unequal prices. In cycle 3 agent 2 holds task 1 at a bid of
+    # 1.0 when task 6 (price 2) comes free; it bids its full gain 2.0, ties
+    # agent 3 and wins on the lower id. A wrapped bid would be capped at 1.0
+    # and task 6 would go to agent 3 instead.
+    speed = SpeedModel(mean=1.0, variance=0.0, truncation_floor=0.1)
+    spots = [(-3, -35, 2, 72), (-10, 1, 1, 105), (39, 35, 7, 110), (1, 28, 4, 54),
+             (36, -13, 6, 97), (29, -39, 2, 89), (-19, -12, 2, 122)]
+    tasks = [Task(id=i, location=Location(x, y), price=float(price), ready_time=0.0,
+                  due_time=float(due), service_duration=10.0, windowed=True)
+             for i, (x, y, price, due) in enumerate(spots)]
+    starts = [((38, -18), 2), ((15, 23), 1), ((-10, 22), 3), ((-29, -24), 2)]
+    agents = [AgentSpec(id=i, start=Location(*xy), capacity=cap, speed=speed)
+              for i, (xy, cap) in enumerate(starts)]
+    inst = MissionInstance(horizon=480.0, depot=Location(0.0, 0.0), penalty=1.0,
+                           tasks=tasks, agents=agents)
+    result = run_cbba(inst)
+    assignment = {a: sorted(held) for a, held in result.assignment.items()}
+    assert assignment == {0: [2, 4], 1: [0], 2: [1, 3, 6], 3: [5]}
+    assert result.paths[2] == [3, 6, 1]
 
 
 def test_robust_equals_deterministic_at_zero_variance():

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -69,6 +70,14 @@ def test_gen_batch_requires_out(capsys):
 def test_gen_rejects_bad_size(capsys):
     code, _, err = run_cli(["gen", "--n", "-1", "--m", "1"], capsys)
     assert code == 1 and err.startswith("error:")
+
+
+def test_gen_zero_count_is_rejected(tmp_path, capsys):
+    code, out, err = run_cli(["gen", "--n", "3", "--m", "2", "--count", "0",
+                              "--out", str(tmp_path / "m.json")], capsys)
+    assert code == 1 and out == ""
+    assert "--count must be >= 1, got 0" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 # --- solve -------------------------------------------------------------------------
@@ -187,6 +196,19 @@ def test_validate_unknown_method(capsys):
     assert code == 1 and "magic" in err
 
 
+@pytest.mark.parametrize("methods, message", [
+    (",", "--methods names no method"),
+    ("auction,auction", "method 'auction' is repeated"),
+])
+def test_validate_rejects_empty_or_repeated_methods(tmp_path, capsys, methods, message):
+    out_path = tmp_path / "report.csv"
+    code, out, err = run_cli(["validate", "--n", "3", "--m", "2", "--methods", methods,
+                              "--rounds", "5", "--out", str(out_path)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and message in err
+    assert not out_path.exists()
+
+
 # --- bench -------------------------------------------------------------------------
 
 
@@ -216,6 +238,20 @@ def test_check_monotonicity_passes(capsys):
     assert code == 0
     assert "property: monotonicity" in out
     assert out.strip().endswith("PASS")
+
+
+def test_check_submodularity_line(capsys):
+    code, out, _ = run_cli(
+        ["check", "--property", "submodularity", "--trials", "3"], capsys
+    )
+    first, verdict = out.splitlines()
+    match = re.fullmatch(r"property: submodularity screened=(\d+) checked=3 "
+                         r"violations=(\d+) worst=\S+", first)
+    assert match, first
+    assert int(match[1]) >= 3
+    violations = int(match[2])
+    assert (code == 0) == (violations == 0)
+    assert verdict == ("PASS" if violations == 0 else "FAIL")
 
 
 def test_check_optimality_passes(capsys):

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +35,8 @@ from mdpauction.instance import (
     generate_instance,
 )
 from mdpauction.valuedp import ValueSolver
+from mdpauction import harness
+from oracles import assignment_scenarios, classify_per_assignment, route_reward_per_scenario
 
 
 def make_task(i, x, y=0.0, ready=0.0, due=480.0, tau=10.0):
@@ -112,6 +116,57 @@ def test_route_screen_finds_a_violating_geometry():
         GenerationConfig(n_tasks=3, n_agents=1, sigma_v_sq=0.2, seed=845058081)
     )
     assert not classify_r_submodular(inst, quadrature_nodes=2)
+
+
+def test_route_screen_matches_per_assignment_oracle(monkeypatch):
+    # 100 seeded draws over n = 1..3 and every variance, plus the pinned draw
+    # the screen rejects: the verdict equals the one-assignment-at-a-time
+    # screen's, and on every 7th assignment row each subset's reward equals
+    # the scalar recursion's in hex
+    calls = []
+    batched = harness.deterministic_route_reward
+
+    def recording(inst, agent, allocated, speeds, due_slack=0.0):
+        rewards = batched(inst, agent, allocated, speeds, due_slack)
+        calls.append((tuple(allocated), speeds, rewards))
+        return rewards
+
+    monkeypatch.setattr(harness, "deterministic_route_reward", recording)
+    seeds = np.random.default_rng(12).integers(0, 2**32, size=100).tolist()
+    cases = [(1 + i % 3, (0.0, 0.05, 0.1, 0.2)[i % 4], seed) for i, seed in enumerate(seeds)]
+    verdicts = []
+    for n, sigma, seed in cases + [(3, 0.2, 845058081)]:
+        inst = generate_instance(
+            GenerationConfig(n_tasks=n, n_agents=1, sigma_v_sq=sigma, seed=seed)
+        )
+        agent = inst.agents[0]
+        calls.clear()
+        verdict = classify_r_submodular(inst, quadrature_nodes=2)
+        assert verdict == classify_per_assignment(inst, quadrature_nodes=2), (n, sigma, seed)
+        verdicts.append(verdict)
+        assert len(calls) == 2**n
+        sampled = itertools.islice(assignment_scenarios(inst, agent, 2), 0, None, 7)
+        for r, scenario in zip(itertools.count(0, 7), sampled):
+            for subset, speeds, rewards in calls:
+                assert np.array_equal(speeds[r], scenario.speeds), (seed, r)
+                want = route_reward_per_scenario(inst, agent, subset, scenario)
+                assert float(rewards[r]).hex() == want.hex(), (seed, r, subset)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_route_screen_refuses_oversized_grid_before_allocating():
+    # n = 5 at Q = 2 has 25 arcs: 2^25 rows of 6x6 speeds, about 10 GB
+    inst = generate_instance(
+        GenerationConfig(n_tasks=5, n_agents=1, sigma_v_sq=0.1, seed=0)
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"{2**25} speed rows"):
+            classify_r_submodular(inst, quadrature_nodes=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # --- brute force -------------------------------------------------------------------

@@ -55,6 +55,7 @@ from oracles import (  # noqa: E402
     best_over_attempt_sequences,
     enumerate_schedules_continuous,
     next_action_per_state,
+    route_reward_per_scenario,
     scalar_value_tables,
     simulate_attempt_sequence,
 )
@@ -383,7 +384,7 @@ def test_grid_refinement_monotone(sigma):
 def test_route_reward_empty():
     inst = make_instance([make_task(0, 10.0)])
     assert deterministic_route_reward(inst, inst.agents[0], (),
-                                      mean_scenario(inst)) == 0.0
+                                      mean_scenario(inst).speeds[None])[0] == 0.0
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -394,7 +395,7 @@ def test_route_reward_matches_schedule_enumeration(seed):
     size = inst.n_tasks + 1
     speeds = np.maximum(rng.normal(1.0, 0.3, (size, size)), 0.1)
     scenario = Scenario(speeds)
-    got = deterministic_route_reward(inst, agent, (0, 1, 2, 3), scenario)
+    got = deterministic_route_reward(inst, agent, (0, 1, 2, 3), speeds[None])[0]
     want = enumerate_schedules_continuous(inst, agent, (0, 1, 2, 3), scenario)
     assert got == pytest.approx(want, abs=1e-12)
 
@@ -409,10 +410,10 @@ def test_grid_value_bracketed_by_continuous_reward(seed):
     step = 1.0
     table = solve_value(inst, agent, ids, grid_step=step)
     v = value_of(table, AgentState(remaining=ids, at=0, time=0.0))
-    scenario = mean_scenario(inst)
-    upper = deterministic_route_reward(inst, agent, ids, scenario)
-    lower = deterministic_route_reward(inst, agent, ids, scenario,
-                                       due_slack=step * len(ids))
+    speeds = mean_scenario(inst).speeds[None]
+    upper = deterministic_route_reward(inst, agent, ids, speeds)[0]
+    lower = deterministic_route_reward(inst, agent, ids, speeds,
+                                       due_slack=step * len(ids))[0]
     assert lower - 1e-12 <= v <= upper + 1e-12
 
 
@@ -420,13 +421,35 @@ def test_route_reward_mean_scenario_tracks_fine_grid():
     inst = random_small_instance(123, n=3, sigma=0.0)
     agent = inst.agents[0]
     ids = (0, 1, 2)
-    scenario = mean_scenario(inst)
-    exact = deterministic_route_reward(inst, agent, ids, scenario)
+    speeds = mean_scenario(inst).speeds[None]
+    exact = deterministic_route_reward(inst, agent, ids, speeds)[0]
     table = solve_value(inst, agent, ids, grid_step=0.25)
     v = value_of(table, AgentState(remaining=ids, at=0, time=0.0))
-    lower = deterministic_route_reward(inst, agent, ids, scenario,
-                                       due_slack=0.25 * len(ids))
+    lower = deterministic_route_reward(inst, agent, ids, speeds,
+                                       due_slack=0.25 * len(ids))[0]
     assert lower - 1e-12 <= v <= exact + 1e-12
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_route_reward_rows_bit_identical_to_scalar_oracle(seed):
+    # every row of the batch is the one-scenario recursion, slack or not,
+    # on every subset of n = 4 tasks; slow speeds make many legs late and
+    # let the slack flip some of them
+    inst = random_small_instance(seed + 300, n=4, sigma=0.2)
+    agent = inst.agents[0]
+    rng = np.random.default_rng(seed)
+    size = inst.n_tasks + 1
+    speeds = np.maximum(rng.normal(0.6, 0.4, (40, size, size)), 0.1)
+    ids = tuple(range(inst.n_tasks))
+    for slack in (0.0, 1.0, 2.5, 4.0):
+        for r in range(len(ids) + 1):
+            for subset in itertools.combinations(ids, r):
+                got = deterministic_route_reward(inst, agent, subset, speeds, due_slack=slack)
+                assert got.shape == (len(speeds),)
+                want = [route_reward_per_scenario(inst, agent, subset, Scenario(row), slack)
+                        for row in speeds]
+                assert [g.hex() for g in got.tolist()] == [w.hex() for w in want], (
+                    slack, subset)
 
 
 # --- ValueSolver facade -------------------------------------------------------------

@@ -7,8 +7,9 @@ Run it on two checkouts: equal digests mean every output below has the same
 bytes. The outputs are `solve` stdout and `--out` JSON for every method and
 topology on generated missions with sigma^2 0 and 0.1, `validate` stdout and
 CSV, the `bench` CSV without its wall-time columns, `check` for optimality,
-monotonicity and convergence, and one `run_experiment` sweep (rows without
-wall times, plus its error records). Every command's exit code is included.
+monotonicity, convergence and submodularity, and one `run_experiment` sweep
+(rows without wall times, plus its error records). Every command's exit code
+is included.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ def collect(work: Path) -> list[tuple[str, str]]:
         work / "bench.csv", strip_wall=True)
     for prop in ("optimality", "monotonicity", "convergence"):
         run(["check", "--property", prop, "--trials", "12", "--seed", "5"])
+    run(["check", "--property", "submodularity", "--trials", "20"])
 
     sweep = harness.run_experiment(harness.ExperimentConfig(
         dimensions=((2, 2), (4, 3), (3, 0)), sigma_grid=(0.0, 0.1), instances_per_cell=2,
