@@ -1,12 +1,16 @@
 """Decentralized bundle auction with value-function bids and consensus.
 
-Each agent greedily grows a bundle: the bid on task j is the marginal gain of
-adding j to the bundle's value function. Shared bids can be wrapped down to the
-bundle's smallest standing bid so the broadcast sequence is non-increasing,
-which restores the diminishing-gain property consensus convergence relies on.
-Conflicts are resolved with the standard bundle-algorithm decision table over
-(winning bid, winner, timestamp) triples; losing a task truncates the bundle at
-the lost entry.
+Every allocation method here is one bundle auction that differs only in its
+offers: the (task, gain, path position) triples an agent sees for the tasks
+outside its bundle. `grow_bundle` is the one greedy growth rule, and
+`run_bundle_auction` the one driver from offers to a reported allocation. The
+value-function auction offers the marginal gain of adding j to the bundle's
+value function, appended at the path's end (`marginal_offers`). Shared bids can
+be wrapped down to the bundle's smallest standing bid so the broadcast
+sequence is non-increasing, which restores the diminishing-gain property
+consensus convergence relies on. Conflicts are resolved with the standard
+bundle-algorithm decision table over (winning bid, winner, timestamp) triples;
+losing a task truncates the bundle at the lost entry.
 
 Agents act synchronously: every cycle is a build phase followed by one message
 exchange over the network. Timestamps never count as state changes (they tick
@@ -23,21 +27,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .instance import AgentSpec, MissionInstance
-from .valuedp import AgentState, ValueSolver, value_of
+from .valuedp import ValueSolver
 
 logger = logging.getLogger(__name__)
 
 UNASSIGNED = -1
 MESSAGE_VERSION = 1
 TOPOLOGIES = ("complete", "ring", "line", "random")
-
-
-@dataclass(frozen=True)
-class Bid:
-    agent_id: int
-    task_id: int
-    value: float  # raw marginal gain
-    wrapped_value: float  # after wrap_bid (== value when wrapping is off)
 
 
 @dataclass
@@ -196,53 +192,44 @@ def wrap_bid(raw: float, bundle_bids) -> float:
     return min(raw, smallest)
 
 
-def compute_bids(
-    inst: MissionInstance,
-    agent: AgentSpec,
-    state: BundleState,
-    solver: ValueSolver,
-    wrapping: bool = True,
-) -> list[Bid]:
-    """Marginal-gain bids for every task outside the bundle (one evaluation each)."""
+def marginal_offers(
+    inst: MissionInstance, agent: AgentSpec, solver: ValueSolver, state: BundleState
+):
+    """V(bundle + j) - V(bundle) for every task j outside the bundle, at the path's end."""
     base = frozenset(state.bundle)
-    standing = [float(state.winning_bids[j]) for j in state.bundle]
-    bids = []
     for j in range(inst.n_tasks):
-        if j in base:
-            continue
-        raw = solver.marginal_gain(agent, base, j)
-        wrapped = wrap_bid(raw, standing) if wrapping else raw
-        bids.append(Bid(agent.id, j, raw, wrapped))
-    return bids
+        if j not in base:
+            yield j, solver.marginal_gain(agent, base, j), len(state.path)
 
 
-def build_bundle(
-    inst: MissionInstance,
-    agent: AgentSpec,
-    state: BundleState,
-    solver: ValueSolver,
-    wrapping: bool = True,
-) -> bool:
+def grow_bundle(state: BundleState, offers, wrapping: bool) -> bool:
     """Greedily grow the bundle until full, no task is eligible, or gains hit 0.
 
-    Eligibility is a strictly better bid than the known winning bid. Ties among
-    eligible candidates go to the lowest task id. Returns True if the bundle grew.
+    `offers()` is called once per growth pass and yields (task, gain, path
+    position) for the tasks outside the bundle, in task id order. With
+    `wrapping` each gain is capped at the bundle's smallest standing bid. An
+    offer is eligible when it is positive and strictly beats the known winning
+    bid; ties among eligible offers go to the lowest task id. The winner is
+    inserted into the path at its position and appended to the bundle.
+    Returns True if the bundle grew.
     """
     grew = False
     while len(state.bundle) < state.capacity:
-        best_task, best_bid = None, None
-        for bid in compute_bids(inst, agent, state, solver, wrapping):
-            offer = bid.wrapped_value
-            if offer <= 0.0 or not offer > float(state.winning_bids[bid.task_id]):
+        standing = [float(state.winning_bids[j]) for j in state.bundle]
+        best = None  # (offer, task, pos)
+        for j, gain, pos in offers():
+            offer = wrap_bid(gain, standing) if wrapping else gain
+            if offer <= 0.0 or not offer > float(state.winning_bids[j]):
                 continue
-            if best_bid is None or offer > best_bid:
-                best_task, best_bid = bid.task_id, offer
-        if best_task is None:
+            if best is None or offer > best[0]:
+                best = (offer, j, pos)
+        if best is None:
             break
-        state.bundle.append(best_task)
-        state.path.append(best_task)
-        state.winning_bids[best_task] = best_bid
-        state.winners[best_task] = state.agent_id
+        offer, j, pos = best
+        state.path.insert(pos, j)
+        state.bundle.append(j)
+        state.winning_bids[j] = offer
+        state.winners[j] = state.agent_id
         grew = True
     return grew
 
@@ -420,21 +407,28 @@ def run_coordination(
     return last_active, False, [int(j) for j in oscillating]
 
 
-def run_auction(
+def run_bundle_auction(
+    method: str,
     inst: MissionInstance,
-    network: NetworkModel | None = None,
-    solver: ValueSolver | None = None,
-    wrapping: bool = True,
+    network: NetworkModel | None,
+    offers,
+    wrapping: bool,
+    value,
+    evaluations,
     max_rounds: int | None = None,
     trace: list | None = None,
 ) -> AllocationResult:
-    """Run the value-function auction to consensus and report the allocation."""
+    """Grow bundles from `offers`, exchange bids to consensus, report the allocation.
+
+    `offers(agent, state)` yields one pass of (task, gain, path position)
+    triples for `grow_bundle`; `value(agent, state)` is an agent's reported
+    value once coordination ends; `evaluations()` is the score-evaluation
+    count. The network defaults to the complete graph.
+    """
     if network is None:
         network = NetworkModel.complete(inst.n_agents)
     if network.n_agents != inst.n_agents:
         raise ValueError("network size does not match the instance's agent count")
-    if solver is None:
-        solver = ValueSolver(inst)
     states = [
         BundleState(
             agent_id=a.id,
@@ -446,53 +440,44 @@ def run_auction(
     ]
 
     def build(i: int, state: BundleState) -> bool:
-        return build_bundle(inst, inst.agents[i], state, solver, wrapping)
+        return grow_bundle(state, lambda: offers(inst.agents[i], state), wrapping)
 
     rounds, converged, oscillating = run_coordination(
         inst, network, states, build, max_rounds, trace=trace
     )
-    return _finish_result(
-        "auction", inst, states, solver, rounds, converged, oscillating,
-        solver.total_evaluations,
+    assigned = {j for s in states for j in s.bundle}
+    return AllocationResult(
+        method=method,
+        assignment={s.agent_id: list(s.bundle) for s in states},
+        paths={s.agent_id: list(s.path) for s in states},
+        unassigned=sorted(set(range(inst.n_tasks)) - assigned),
+        per_agent_value={a.id: value(a, s) for a, s in zip(inst.agents, states)},
+        rounds_to_converge=rounds,
+        converged=converged,
+        score_evaluations=evaluations(),
+        oscillating_tasks=oscillating,
     )
 
 
-def _finish_result(
-    method: str,
+def run_auction(
     inst: MissionInstance,
-    states: list[BundleState],
-    solver: ValueSolver | None,
-    rounds: int,
-    converged: bool,
-    oscillating: list[int],
-    evaluations: int,
-    per_agent_value: dict[int, float] | None = None,
+    network: NetworkModel | None = None,
+    solver: ValueSolver | None = None,
+    wrapping: bool = True,
+    max_rounds: int | None = None,
+    trace: list | None = None,
 ) -> AllocationResult:
-    assignment = {s.agent_id: list(s.bundle) for s in states}
-    paths = {s.agent_id: list(s.path) for s in states}
-    assigned = set()
-    for ids in assignment.values():
-        assigned.update(ids)
-    unassigned = sorted(set(range(inst.n_tasks)) - assigned)
-    if per_agent_value is None:
-        per_agent_value = {}
-        for agent in inst.agents:
-            tasks = frozenset(assignment[agent.id])
-            if tasks:
-                table = solver.table(agent, tasks)
-                per_agent_value[agent.id] = value_of(
-                    table, AgentState(0.0, 0, tasks)
-                )
-            else:
-                per_agent_value[agent.id] = 0.0
-    return AllocationResult(
-        method=method,
-        assignment=assignment,
-        paths=paths,
-        unassigned=unassigned,
-        per_agent_value=per_agent_value,
-        rounds_to_converge=rounds,
-        converged=converged,
-        score_evaluations=evaluations,
-        oscillating_tasks=oscillating,
+    """Run the value-function auction to consensus and report the allocation."""
+    if solver is None:
+        solver = ValueSolver(inst)
+    return run_bundle_auction(
+        "auction",
+        inst,
+        network,
+        lambda agent, state: marginal_offers(inst, agent, solver, state),
+        wrapping,
+        lambda agent, state: solver.set_value(agent, state.bundle) if state.bundle else 0.0,
+        lambda: solver.total_evaluations,
+        max_rounds,
+        trace,
     )

@@ -4,10 +4,12 @@ Both variants bid the best single-position insertion gain in mean path score
 over a list of speed scenarios (`insertion_bid`). The deterministic variant
 scores over the one mean-speed scenario and shares its bids unwrapped; the
 robust variant scores over N sampled scenarios (common random numbers across
-the candidate positions of one call) and wraps its bids before sharing. Both reuse
-the consensus engine from the auction module; only bundle construction differs:
-baselines insert into a path at the best position, while the value-function
-method appends (its execution order comes from the policy, not the path).
+the candidate positions of one call) and wraps its bids before sharing. Both run
+the auction module's one bundle-growth loop and coordination driver
+(`run_bundle_auction`); like the value-function method they differ only in
+their offers, which here insert the task at its best path position, while the
+value-function method appends (its execution order comes from the policy, not
+the path).
 
 Score accounting: each insertion bid over N scenarios costs N * (|path|+1) path
 evaluations (N = 1 for the deterministic variant); the baseline path's own
@@ -16,19 +18,13 @@ score is amortized and not counted.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .auction import (
-    AllocationResult,
-    BundleState,
-    NetworkModel,
-    _finish_result,
-    run_coordination,
-    wrap_bid,
-)
+from .auction import AllocationResult, NetworkModel, run_bundle_auction
 from .instance import AgentSpec, MissionInstance, distance
 from .valuedp import Scenario, mean_scenario
 
@@ -150,52 +146,6 @@ def insertion_bid(
     return best_gain, best_pos
 
 
-def _build_insertion_bundle(
-    inst: MissionInstance,
-    agent: AgentSpec,
-    state: BundleState,
-    counter: EvalCounter,
-    robust_cfg: RobustConfig | None,
-    call_state: dict,
-) -> bool:
-    robust = robust_cfg is not None
-    grew = False
-    while len(state.bundle) < state.capacity:
-        if robust:
-            call_state["calls"] = call_state.get("calls", 0) + 1
-            scenarios = _sample_scenarios(
-                inst, robust_cfg, call_state["calls"] * (agent.id + 1)
-            )
-        else:
-            scenarios = [mean_scenario(inst)]
-        base = _mean_reward(inst, agent, state.path, scenarios)
-        best = None  # (offer, task, pos)
-        for j in range(inst.n_tasks):
-            if j in state.bundle:
-                continue
-            gain, pos = insertion_bid(
-                inst, agent, state.path, j, scenarios, counter, base_mean=base
-            )
-            offer = (
-                wrap_bid(gain, [float(state.winning_bids[b]) for b in state.bundle])
-                if robust
-                else gain
-            )
-            if offer <= 0.0 or not offer > float(state.winning_bids[j]):
-                continue
-            if best is None or offer > best[0]:
-                best = (offer, j, pos)
-        if best is None:
-            break
-        offer, j, pos = best
-        state.path.insert(pos, j)
-        state.bundle.append(j)
-        state.winning_bids[j] = offer
-        state.winners[j] = state.agent_id
-        grew = True
-    return grew
-
-
 def run_cbba(
     inst: MissionInstance,
     network: NetworkModel | None = None,
@@ -210,48 +160,34 @@ def run_cbba(
     robust = variant == "robust"
     if robust and robust_cfg is None:
         robust_cfg = RobustConfig()
-    if network is None:
-        network = NetworkModel.complete(inst.n_agents)
-    if network.n_agents != inst.n_agents:
-        raise ValueError("network size does not match the instance's agent count")
     counter = EvalCounter()
-    states = [
-        BundleState(
-            agent_id=a.id,
-            capacity=a.capacity,
-            n_tasks=inst.n_tasks,
-            n_agents=inst.n_agents,
-        )
-        for a in inst.agents
-    ]
-    call_states = [dict() for _ in inst.agents]
+    calls = [0] * inst.n_agents  # growth passes so far, per agent
 
-    def build(i: int, state: BundleState) -> bool:
-        return _build_insertion_bundle(
-            inst,
-            inst.agents[i],
-            state,
-            counter,
-            robust_cfg if robust else None,
-            call_states[i],
-        )
+    def scenarios(call_index: int) -> list[Scenario]:
+        if robust:
+            return _sample_scenarios(inst, robust_cfg, call_index)
+        return [mean_scenario(inst)]
 
-    rounds, converged, oscillating = run_coordination(
-        inst, network, states, build, max_rounds, trace=trace
-    )
-    scenarios = _sample_scenarios(inst, robust_cfg, 0) if robust else [mean_scenario(inst)]
-    per_agent_value = {
-        agent.id: _mean_reward(inst, agent, states[agent.id].path, scenarios)
-        for agent in inst.agents
-    }
-    return _finish_result(
-        "cbba" if not robust else "robust-cbba",
+    def offers(agent: AgentSpec, state):
+        calls[agent.id] += 1
+        batch = scenarios(calls[agent.id] * (agent.id + 1))
+        base = _mean_reward(inst, agent, state.path, batch)
+        for j in range(inst.n_tasks):
+            if j not in state.bundle:
+                gain, pos = insertion_bid(
+                    inst, agent, state.path, j, batch, counter, base_mean=base
+                )
+                yield j, gain, pos
+
+    final = functools.cache(lambda: scenarios(0))  # drawn once coordination ends
+    return run_bundle_auction(
+        "robust-cbba" if robust else "cbba",
         inst,
-        states,
-        None,
-        rounds,
-        converged,
-        oscillating,
-        counter.count,
-        per_agent_value=per_agent_value,
+        network,
+        offers,
+        robust,
+        lambda agent, state: _mean_reward(inst, agent, state.path, final()),
+        lambda: counter.count,
+        max_rounds,
+        trace,
     )

@@ -178,7 +178,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    dims = tuple(int(d) for d in args.dims.split(",") if d)
+    dims = tuple(int(d) for d in args.dims.split(",") if d.strip())
+    if not dims:
+        raise ValueError(f"--dims names no task count: {args.dims!r}")
     rows = bench_complexity(
         n_values=dims, n_agents=args.m, seed=args.seed,
         robust_samples=args.samples, repeats=args.repeats,

@@ -258,16 +258,24 @@ def generate_instance(cfg: GenerationConfig) -> MissionInstance:
     )
 
 
-def _require(mapping: dict, key: str, kind, where: str):
+def _require(mapping: dict, key: str, kind, where: str, optional: bool = False):
+    """`mapping[key]` as `kind`; a float must be finite, an optional field may be null."""
+    if optional and mapping.get(key) is None:
+        return None
     if key not in mapping:
         raise InstanceFormatError(f"{where}.{key}: missing required field")
     value = mapping[key]
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf
     if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
         raise InstanceFormatError(
             f"{where}.{key}: expected {kind.__name__}, got {type(value).__name__}"
         )
+    if kind is float and not math.isfinite(value):
+        raise InstanceFormatError(f"{where}.{key}: expected a finite number")
     return value
 
 
@@ -376,8 +384,9 @@ def instance_from_dict(doc: dict) -> MissionInstance:
         penalty=penalty,
         tasks=tasks,
         agents=agents,
-        seed=doc.get("seed"),
-        window_probability=doc.get("window_probability"),
+        seed=_require(doc, "seed", int, "document", optional=True),
+        window_probability=_require(doc, "window_probability", float, "document",
+                                    optional=True),
     )
 
 

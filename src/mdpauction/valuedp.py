@@ -239,8 +239,8 @@ def solve_value(
     transitions are built), a few integer arrays over the masks, and Python
     object overhead.
     """
-    if grid_step <= 0.0:
-        raise ValueError(f"grid_step must be > 0, got {grid_step}")
+    if not (grid_step > 0.0 and math.isfinite(grid_step)):
+        raise ValueError(f"grid_step must be finite and > 0, got {grid_step}")
     task_ids = tuple(sorted(set(int(j) for j in allocated)))
     for j in task_ids:
         if not (0 <= j < inst.n_tasks):

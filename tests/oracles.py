@@ -12,16 +12,28 @@ speed, with no scenario list, as a reference for `baselines.insertion_bid` over
 the one mean-speed scenario. `route_reward_per_scenario` is the scalar
 clairvoyant route reward on one scenario, and `classify_per_assignment` the
 route screen built on it one speed assignment at a time, kept as bit-exact
-references for the scenario-batched reward and screen.
+references for the scenario-batched reward and screen. `build_bundle` (over
+`compute_bids`) and `build_insertion_bundle` are the two bundle-growth loops
+the auction and the CBBA variants each wrote out before they shared
+`auction.grow_bundle`, and `reference_allocation` runs them through
+`auction.run_coordination`, as bit-exact references for `run_auction` and
+`run_cbba`.
 """
 
 import itertools
 import math
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
-from mdpauction.baselines import path_reward
+from mdpauction.auction import BundleState, run_coordination, wrap_bid
+from mdpauction.baselines import (
+    _mean_reward,
+    _sample_scenarios,
+    insertion_bid,
+    path_reward,
+)
 from mdpauction.instance import distance
 from mdpauction.rollout import FixedPath, RolloutReport, build_policies
 from mdpauction.valuedp import (
@@ -32,6 +44,8 @@ from mdpauction.valuedp import (
     AgentState,
     Scenario,
     build_quadrature,
+    mean_scenario,
+    value_of,
 )
 
 
@@ -425,3 +439,117 @@ def classify_per_assignment(inst, agent=None, quadrature_nodes=2, tolerance=1e-9
             if gain_big - gain_small > tolerance:
                 return False
     return True
+
+
+@dataclass(frozen=True)
+class Bid:
+    agent_id: int
+    task_id: int
+    value: float  # raw marginal gain
+    wrapped_value: float  # after wrap_bid (== value when wrapping is off)
+
+
+def compute_bids(inst, agent, state, solver, wrapping=True):
+    """Marginal-gain bids for every task outside the bundle (one evaluation each)."""
+    base = frozenset(state.bundle)
+    standing = [float(state.winning_bids[j]) for j in state.bundle]
+    bids = []
+    for j in range(inst.n_tasks):
+        if j in base:
+            continue
+        raw = solver.marginal_gain(agent, base, j)
+        wrapped = wrap_bid(raw, standing) if wrapping else raw
+        bids.append(Bid(agent.id, j, raw, wrapped))
+    return bids
+
+
+def build_bundle(inst, agent, state, solver, wrapping=True):
+    """The auction's greedy growth: append the best strictly better bid until none is left."""
+    grew = False
+    while len(state.bundle) < state.capacity:
+        best_task, best_bid = None, None
+        for bid in compute_bids(inst, agent, state, solver, wrapping):
+            offer = bid.wrapped_value
+            if offer <= 0.0 or not offer > float(state.winning_bids[bid.task_id]):
+                continue
+            if best_bid is None or offer > best_bid:
+                best_task, best_bid = bid.task_id, offer
+        if best_task is None:
+            break
+        state.bundle.append(best_task)
+        state.path.append(best_task)
+        state.winning_bids[best_task] = best_bid
+        state.winners[best_task] = state.agent_id
+        grew = True
+    return grew
+
+
+def build_insertion_bundle(inst, agent, state, counter, robust_cfg, call_state):
+    """CBBA's greedy growth: insert the best strictly better insertion bid at its position.
+
+    A robust build (`robust_cfg` set) draws a fresh scenario batch per pass,
+    numbered by the pass count kept in `call_state`, and wraps its bids.
+    """
+    robust = robust_cfg is not None
+    grew = False
+    while len(state.bundle) < state.capacity:
+        if robust:
+            call_state["calls"] = call_state.get("calls", 0) + 1
+            scenarios = _sample_scenarios(
+                inst, robust_cfg, call_state["calls"] * (agent.id + 1)
+            )
+        else:
+            scenarios = [mean_scenario(inst)]
+        base = _mean_reward(inst, agent, state.path, scenarios)
+        best = None  # (offer, task, pos)
+        for j in range(inst.n_tasks):
+            if j in state.bundle:
+                continue
+            gain, pos = insertion_bid(
+                inst, agent, state.path, j, scenarios, counter, base_mean=base
+            )
+            offer = (
+                wrap_bid(gain, [float(state.winning_bids[b]) for b in state.bundle])
+                if robust
+                else gain
+            )
+            if offer <= 0.0 or not offer > float(state.winning_bids[j]):
+                continue
+            if best is None or offer > best[0]:
+                best = (offer, j, pos)
+        if best is None:
+            break
+        offer, j, pos = best
+        state.path.insert(pos, j)
+        state.bundle.append(j)
+        state.winning_bids[j] = offer
+        state.winners[j] = state.agent_id
+        grew = True
+    return grew
+
+
+def reference_allocation(inst, network, build, max_rounds=None, trace=None):
+    """Final states and (rounds, converged, oscillating) from `build(i, state)`."""
+    states = [
+        BundleState(agent_id=a.id, capacity=a.capacity, n_tasks=inst.n_tasks,
+                    n_agents=inst.n_agents)
+        for a in inst.agents
+    ]
+    outcome = run_coordination(inst, network, states, build, max_rounds, trace=trace)
+    return states, outcome
+
+
+def auction_set_value(solver, agent, bundle):
+    """An agent's reported auction value: V at the start state holding its bundle."""
+    if not bundle:
+        return 0.0
+    tasks = frozenset(bundle)
+    return value_of(solver.table(agent, tasks), AgentState(0.0, 0, tasks))
+
+
+def cbba_path_value(inst, agent, path, robust_cfg):
+    """An agent's reported CBBA value: mean path reward over scenario batch 0."""
+    scenarios = (
+        _sample_scenarios(inst, robust_cfg, 0) if robust_cfg else [mean_scenario(inst)]
+    )
+    return _mean_reward(inst, agent, path, scenarios)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,13 +9,14 @@ from mdpauction.auction import (
     UNASSIGNED,
     BundleState,
     NetworkModel,
-    build_bundle,
-    compute_bids,
     consensus_round,
+    grow_bundle,
+    marginal_offers,
     run_auction,
     run_coordination,
     wrap_bid,
 )
+from mdpauction.baselines import EvalCounter, RobustConfig, run_cbba
 from mdpauction.instance import (
     AgentSpec,
     GenerationConfig,
@@ -25,6 +27,13 @@ from mdpauction.instance import (
     generate_instance,
 )
 from mdpauction.valuedp import ValueSolver
+from oracles import (
+    auction_set_value,
+    build_bundle,
+    build_insertion_bundle,
+    cbba_path_value,
+    reference_allocation,
+)
 
 
 def make_task(i, x, y=0.0, ready=0.0, due=480.0, tau=10.0, windowed=True):
@@ -63,7 +72,18 @@ def test_wrap_bid_empty_bundle():
     assert wrap_bid(8.0, []) == 8.0
 
 
-# --- compute_bids ------------------------------------------------------------------
+def offers_of(inst, state, solver):
+    """The auction's offers for one growth pass, as a list."""
+    return list(marginal_offers(inst, inst.agents[state.agent_id], solver, state))
+
+
+def grow(inst, state, solver, wrapping=True):
+    """One auction build: grow the bundle from its marginal offers."""
+    agent = inst.agents[state.agent_id]
+    return grow_bundle(state, lambda: marginal_offers(inst, agent, solver, state), wrapping)
+
+
+# --- marginal_offers -------------------------------------------------------------
 
 
 def test_bids_from_empty_bundle_are_singleton_values():
@@ -71,17 +91,17 @@ def test_bids_from_empty_bundle_are_singleton_values():
     solver = ValueSolver(inst)
     agent = inst.agents[0]
     state = fresh_state(inst)
-    bids = {b.task_id: b for b in compute_bids(inst, agent, state, solver)}
+    bids = {j: (gain, pos) for j, gain, pos in offers_of(inst, state, solver)}
     for j in (0, 1):
-        assert bids[j].value == solver.set_value(agent, (j,))
-        assert bids[j].wrapped_value == bids[j].value
+        assert bids[j] == (solver.set_value(agent, (j,)), 0)
+        assert wrap_bid(bids[j][0], []) == bids[j][0]
 
 
 def test_unreachable_task_bids_zero():
     inst = make_instance([make_task(0, 100.0, due=20.0)], [(0.0, 0.0)])
     solver = ValueSolver(inst)
-    bids = compute_bids(inst, inst.agents[0], fresh_state(inst), solver)
-    assert bids[0].value == 0.0
+    bids = offers_of(inst, fresh_state(inst), solver)
+    assert bids[0][1] == 0.0
 
 
 def test_identical_tasks_second_marginal_zero():
@@ -90,12 +110,11 @@ def test_identical_tasks_second_marginal_zero():
     t1 = make_task(1, 10.0, due=12.0, tau=10.0)
     inst = make_instance([t0, t1], [(0.0, 0.0)])
     solver = ValueSolver(inst)
-    agent = inst.agents[0]
     state = fresh_state(inst)
-    build_bundle(inst, agent, state, solver, True)
+    grow(inst, state, solver, True)
     assert state.bundle == [0]
-    bids = compute_bids(inst, agent, state, solver)
-    assert bids[0].task_id == 1 and bids[0].value == 0.0
+    bids = offers_of(inst, state, solver)
+    assert bids[0][0] == 1 and bids[0][1] == 0.0
 
 
 def test_bids_invariant_under_bundle_order():
@@ -114,12 +133,12 @@ def test_bids_invariant_under_bundle_order():
             s.winners[j] = agent.id
         return s
 
-    a = compute_bids(inst, agent, state_with_bundle([0, 2]), solver)
-    b = compute_bids(inst, agent, state_with_bundle([2, 0]), solver)
-    assert [(x.task_id, x.value) for x in a] == [(x.task_id, x.value) for x in b]
+    a = offers_of(inst, state_with_bundle([0, 2]), solver)
+    b = offers_of(inst, state_with_bundle([2, 0]), solver)
+    assert [(j, gain) for j, gain, _ in a] == [(j, gain) for j, gain, _ in b]
 
 
-# --- build_bundle ---------------------------------------------------------------------
+# --- grow_bundle ----------------------------------------------------------------------
 
 
 def test_build_skips_tasks_won_with_higher_bids():
@@ -128,7 +147,7 @@ def test_build_skips_tasks_won_with_higher_bids():
     state = fresh_state(inst)
     state.winning_bids[:] = [2.0, 2.0]  # someone else holds both, bid > any gain
     state.winners[:] = [1, 1]
-    changed = build_bundle(inst, inst.agents[0], state, solver, True)
+    changed = grow(inst, state, solver, True)
     assert not changed
     assert state.bundle == []
 
@@ -139,7 +158,7 @@ def test_build_capacity_one_takes_global_best():
     inst = make_instance([near, far], [(0.0, 0.0)], capacity=1)
     solver = ValueSolver(inst)
     state = fresh_state(inst)
-    build_bundle(inst, inst.agents[0], state, solver, True)
+    grow(inst, state, solver, True)
     assert state.bundle == [0] or state.bundle == [1]
     # both are servable (value 1); the tie must go to the lowest task id
     assert state.bundle == [0]
@@ -327,7 +346,7 @@ def test_wrapped_bundle_bids_non_increasing_every_cycle():
         states = [fresh_state(inst, i) for i in range(2)]
 
         def build(i, state):
-            changed = build_bundle(inst, inst.agents[i], state, solver, True)
+            changed = grow(inst, state, solver, True)
             bids = [state.winning_bids[j] for j in state.bundle]
             assert all(a >= b - 1e-12 for a, b in zip(bids, bids[1:])), bids
             return changed
@@ -376,3 +395,133 @@ def test_expected_reward_includes_unassigned_penalty():
     assert result.unassigned == [0]
     assert result.total_value == pytest.approx(1.0)
     assert result.expected_reward(inst) == pytest.approx(0.0)
+
+
+# --- one growth loop and driver vs the reference loops -------------------------------
+
+
+def _trace_fields(trace):
+    return [
+        (record["cycle"], [
+            (msg.version, msg.sender, [float(y).hex() for y in msg.winning_bids],
+             msg.winners.tolist(), msg.timestamps.tolist())
+            for msg in record["messages"]
+        ])
+        for record in trace
+    ]
+
+
+def _result_fields(result):
+    return {
+        "assignment": result.assignment,
+        "paths": result.paths,
+        "unassigned": result.unassigned,
+        "per_agent_value": {a: v.hex() for a, v in result.per_agent_value.items()},
+        "rounds_to_converge": result.rounds_to_converge,
+        "converged": result.converged,
+        "oscillating_tasks": result.oscillating_tasks,
+        "score_evaluations": result.score_evaluations,
+    }
+
+
+def _reference_fields(inst, states, outcome, value, evaluations):
+    rounds, converged, oscillating = outcome
+    assigned = {j for s in states for j in s.bundle}
+    return {
+        "assignment": {s.agent_id: list(s.bundle) for s in states},
+        "paths": {s.agent_id: list(s.path) for s in states},
+        "unassigned": sorted(set(range(inst.n_tasks)) - assigned),
+        "per_agent_value": {a.id: value(a, s).hex() for a, s in zip(inst.agents, states)},
+        "rounds_to_converge": rounds,
+        "converged": converged,
+        "oscillating_tasks": oscillating,
+        "score_evaluations": evaluations,
+    }
+
+
+def _diff_cases():
+    """Seeded missions over n 0-8, m 1-4, four variances and every topology.
+
+    Odd cases move every agent to its own start so agents stop sharing
+    tables and bids; every fifth case stops coordination after two rounds.
+    """
+    rng = np.random.default_rng(2024)
+    for case in range(60):
+        n = case % 9
+        m = 1 + int(rng.integers(0, 4)) if case % 4 else 3 + int(rng.integers(0, 2))
+        sigma = (0.0, 0.05, 0.1, 0.3)[case % 4]
+        inst = generate_instance(GenerationConfig(
+            n_tasks=n, n_agents=m, sigma_v_sq=sigma, seed=int(rng.integers(1000))))
+        if case % 2:
+            starts = rng.uniform(0.0, 100.0, (m, 2))
+            inst = MissionInstance(
+                horizon=inst.horizon, depot=inst.depot, penalty=inst.penalty,
+                tasks=inst.tasks,
+                agents=[dataclasses.replace(a, start=Location(*map(float, xy)))
+                        for a, xy in zip(inst.agents, starts)])
+        network = NetworkModel.from_name(TOPOLOGIES[(case // 2) % 4], m, seed=case)
+        yield case, inst, network, (2 if case % 5 == 0 else None)
+
+
+def test_run_auction_and_cbba_match_reference_growth_loops():
+    seen = {"not converged": 0, "release": 0, "wrapping changes the allocation": 0}
+    topologies = set()
+
+    def watched(build):
+        """`build`, counting bundles that shrank between an agent's builds."""
+        grown_to = {}
+
+        def build_fn(i, state):
+            if len(state.bundle) < grown_to.get(i, 0):
+                seen["release"] += 1
+            grew = build(i, state)
+            grown_to[i] = len(state.bundle)
+            return grew
+
+        return build_fn
+
+    for case, inst, network, max_rounds in _diff_cases():
+        topologies.add(network.name)
+        solver = ValueSolver(inst, quadrature_nodes=3)
+        allocations = {}
+        for wrapping in (True, False):
+            solver.evaluations = {a.id: 0 for a in inst.agents}
+            want_trace = []
+            states, outcome = reference_allocation(
+                inst, network,
+                watched(lambda i, s: build_bundle(inst, inst.agents[i], s, solver, wrapping)),
+                max_rounds, trace=want_trace)
+            want = _reference_fields(
+                inst, states, outcome,
+                lambda a, s: auction_set_value(solver, a, s.bundle),
+                solver.total_evaluations)
+            solver.evaluations = {a.id: 0 for a in inst.agents}
+            got_trace = []
+            got = run_auction(inst, network, solver, wrapping, max_rounds, trace=got_trace)
+            assert _result_fields(got) == want, (case, wrapping)
+            assert _trace_fields(got_trace) == _trace_fields(want_trace), (case, wrapping)
+            seen["not converged"] += not got.converged
+            allocations[wrapping] = got.assignment
+        seen["wrapping changes the allocation"] += allocations[True] != allocations[False]
+
+        cfg = RobustConfig(sample_count=(1, 7)[case % 2], seed=case)
+        for robust_cfg in (None, cfg):
+            counter = EvalCounter()
+            call_states = [dict() for _ in inst.agents]
+            want_trace = []
+            states, outcome = reference_allocation(
+                inst, network,
+                watched(lambda i, s: build_insertion_bundle(
+                    inst, inst.agents[i], s, counter, robust_cfg, call_states[i])),
+                max_rounds, trace=want_trace)
+            want = _reference_fields(
+                inst, states, outcome,
+                lambda a, s: cbba_path_value(inst, a, s.path, robust_cfg), counter.count)
+            got_trace = []
+            got = run_cbba(inst, network, "robust" if robust_cfg else "deterministic",
+                           cfg, max_rounds, trace=got_trace)
+            assert _result_fields(got) == want, (case, robust_cfg)
+            assert _trace_fields(got_trace) == _trace_fields(want_trace), (case, robust_cfg)
+            seen["not converged"] += not got.converged
+    assert topologies == set(TOPOLOGIES)
+    assert all(seen.values()), seen

@@ -151,6 +151,25 @@ def test_zero_agent_mission_is_rejected(instance_file, capsys, command):
     assert err.startswith("error: agents")
 
 
+@pytest.mark.parametrize("grid", ["inf", "nan"])
+def test_solve_rejects_non_finite_grid(instance_file, capsys, grid):
+    code, out, err = run_cli(["solve", instance_file, "--grid", grid], capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: grid_step must be finite and > 0, got {float(grid)}\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "validate"])
+def test_non_finite_instance_field_is_rejected(instance_file, capsys, command):
+    with open(instance_file) as fh:
+        doc = json.load(fh)
+    doc["tasks"][0]["price"] = float("nan")
+    with open(instance_file, "w") as fh:
+        json.dump(doc, fh)
+    code, out, err = run_cli([command, instance_file], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: tasks[0].price: expected a finite number\n"
+
+
 def test_unknown_command_and_flag(capsys):
     assert run_cli(["frobnicate"], capsys)[0] == 2
     assert run_cli(["gen", "--n", "2", "--m", "1", "--bogus"], capsys)[0] == 2
@@ -226,6 +245,16 @@ def test_bench_stdout_deterministic(tmp_path, capsys):
                       "setup_wall_s,coordination_wall_s,total_wall_s")
     code2, out2, _ = run_cli(args, capsys)
     assert out2 == out  # counters never depend on the clock
+
+
+@pytest.mark.parametrize("dims", [",", ""])
+def test_bench_rejects_empty_dims(tmp_path, capsys, dims):
+    out_path = tmp_path / "bench.csv"
+    code, out, err = run_cli(["bench", "--dims", dims, "--repeats", "1",
+                              "--out", str(out_path)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: --dims names no task count")
+    assert not out_path.exists()
 
 
 # --- check -------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import pytest
 
@@ -172,6 +173,51 @@ def test_parse_wrong_type_names_field():
     doc["penalty"] = "one"
     with pytest.raises(InstanceFormatError, match="penalty"):
         parse_instance(json.dumps(doc))
+
+
+def _doc_with(path, value):
+    """A valid instance document with the field at `path` set to `value`."""
+    doc = instance_to_dict(generate_instance(
+        GenerationConfig(n_tasks=2, n_agents=2, sigma_v_sq=0.1, seed=1)))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return json.dumps(doc)  # writes NaN and Infinity, which json.loads reads back
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("horizon",), math.inf, "document.horizon: expected a finite number"),
+    (("penalty",), math.nan, "document.penalty: expected a finite number"),
+    (("depot", "x"), math.nan, "depot.x: expected a finite number"),
+    (("tasks", 1, "price"), math.nan, "tasks[1].price: expected a finite number"),
+    (("tasks", 0, "price"), 10**400, "tasks[0].price: expected a finite number"),
+    (("tasks", 0, "x"), math.inf, "tasks[0].x: expected a finite number"),
+    (("tasks", 0, "y"), -math.inf, "tasks[0].y: expected a finite number"),
+    (("tasks", 0, "ready_time"), -math.inf, "tasks[0].ready_time: expected a finite number"),
+    (("tasks", 0, "due_time"), math.inf, "tasks[0].due_time: expected a finite number"),
+    (("tasks", 1, "service_duration"), math.nan,
+     "tasks[1].service_duration: expected a finite number"),
+    (("agents", 1, "start", "y"), math.inf, "agents[1].start.y: expected a finite number"),
+    (("agents", 0, "speed", "variance"), math.nan,
+     "agents[0].speed.variance: expected a finite number"),
+    (("seed",), "hello", "document.seed: expected int, got str"),
+    (("seed",), 1.5, "document.seed: expected int, got float"),
+    (("seed",), True, "document.seed: expected int, got bool"),
+    (("window_probability",), [1], "document.window_probability: expected float, got list"),
+    (("window_probability",), math.nan, "document.window_probability: expected a finite number"),
+])
+def test_parse_rejects_non_finite_or_mistyped_field(path, value, message):
+    with pytest.raises(InstanceFormatError, match="^" + re.escape(message) + "$"):
+        parse_instance(_doc_with(path, value))
+
+
+@pytest.mark.parametrize("key", ["seed", "window_probability"])
+def test_parse_accepts_null_or_missing_optional_field(key):
+    assert getattr(parse_instance(_doc_with((key,), None)), key) is None
+    doc = json.loads(_doc_with((key,), None))
+    del doc[key]
+    assert getattr(parse_instance(json.dumps(doc)), key) is None
 
 
 def test_task_invariant_rejects_inverted_window():

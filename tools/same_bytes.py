@@ -5,8 +5,9 @@
 CHECKOUT (default: this repository) is a checkout whose `src/` is imported.
 Run it on two checkouts: equal digests mean every output below has the same
 bytes. The outputs are `solve` stdout and `--out` JSON for every method and
-topology on generated missions with sigma^2 0 and 0.1, `validate` stdout and
-CSV, the `bench` CSV without its wall-time columns, `check` for optimality,
+topology on generated missions with sigma^2 0 and 0.1, `solve --no-wrap` on
+the sigma^2 0.1 mission, one auction `solve` beyond the subset cap (n = 13,
+which solves one table per queried set), `validate` stdout and CSV, the `bench` CSV without its wall-time columns, `check` for optimality,
 monotonicity, convergence and submodularity, and one `run_experiment` sweep
 (rows without wall times, plus its error records). Every command's exit code
 is included.
@@ -55,6 +56,10 @@ def collect(work: Path) -> list[tuple[str, str]]:
         run(["solve", str(mission), "--quadrature", "3", "--grid", "2"], work / "solve.json")
         run(["validate", str(mission), "--rounds", "200", "--samples", "30"],
             work / "validate.csv")
+    run(["solve", str(work / "mission-0.1.json"), "--no-wrap"], work / "solve.json")
+    run(["gen", "--n", "13", "--m", "4", "--sigma", "0.1", "--seed", "11",
+         "--out", str(work / "mission-13.json")])
+    run(["solve", str(work / "mission-13.json"), "--quadrature", "3"], work / "solve.json")
     run(["bench", "--dims", "2,3", "--repeats", "1", "--samples", "20"],
         work / "bench.csv", strip_wall=True)
     for prop in ("optimality", "monotonicity", "convergence"):
