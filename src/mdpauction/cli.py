@@ -25,6 +25,7 @@ from .harness import (
     format_float,
     optimality_study,
     run_method,
+    run_mission,
     submodularity_study,
 )
 from .instance import (
@@ -36,18 +37,24 @@ from .instance import (
     serialize_instance,
 )
 from .rollout import RolloutReport
-from .rollout import validate as rollout_validate
 
-BENCH_COLUMNS = [
-    "n_tasks",
-    "n_agents",
-    "instance_seed",
-    "method",
-    "score_evaluations",
-    "setup_wall_s",
-    "coordination_wall_s",
-    "total_wall_s",
-]
+def _non_negative_int(text: str) -> int:
+    """argparse type for --seed: a bad value exits 2 with the flag named."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _task_counts(text: str) -> tuple[int, ...]:
+    """argparse type for --dims: comma-separated task counts, blank entries skipped."""
+    try:
+        return tuple(int(d) for d in text.split(",") if d.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value in {text!r}") from None
 
 
 def _cmd_gen(args) -> int:
@@ -71,15 +78,7 @@ def _cmd_gen(args) -> int:
         raise ValueError("--out is required when --count > 1")
     stem = Path(args.out)
     for i in range(args.count):
-        inst = generate_instance(
-            GenerationConfig(
-                n_tasks=args.n,
-                n_agents=args.m,
-                sigma_v_sq=args.sigma,
-                seed=derive_seed(args.seed, 1, i),
-                capacity=args.capacity,
-            )
-        )
+        inst = generate_instance(dataclasses.replace(cfg, seed=derive_seed(args.seed, 1, i)))
         save_instance(inst, stem.with_name(f"{stem.stem}-{i:04d}{stem.suffix}"))
     return 0
 
@@ -143,27 +142,13 @@ def _cmd_validate(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise ValueError(f"--methods names no method: {args.methods!r}")
-    for i, m in enumerate(methods):
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}")
-        if m in methods[:i]:
-            raise ValueError(f"method {m!r} is repeated in --methods")
-    network = NetworkModel.from_name(args.topology, inst.n_agents, args.seed)
-    robust_cfg = RobustConfig(args.samples, args.seed)
-    allocations = {}
-    auction_solver = None
-    for method in methods:
-        allocation, solver, _, _ = run_method(
-            inst, method, network, robust_cfg, args.quadrature, args.grid, args.wrap
-        )
-        allocations[method] = allocation
-        if method == "auction":
-            auction_solver = solver
-    reports = rollout_validate(
-        inst, allocations, rounds=args.rounds, seed=args.seed,
-        solver=auction_solver,
+    if args.rounds < 1:
+        raise ValueError("rounds must be >= 1")
+    rows = run_mission(
+        inst, methods, NetworkModel.from_name(args.topology, inst.n_agents, args.seed),
+        RobustConfig(args.samples, args.seed), args.quadrature, args.grid, args.wrap,
+        rounds=args.rounds, seed=args.seed,
     )
-    rows = [reports[m].as_row() for m in methods]
     for row in rows:
         sys.stdout.write(
             f"{row['method']}: expected {format_float(row['expected_reward'])} "
@@ -178,11 +163,10 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    dims = tuple(int(d) for d in args.dims.split(",") if d.strip())
-    if not dims:
-        raise ValueError(f"--dims names no task count: {args.dims!r}")
+    if not args.dims:
+        raise ValueError("--dims names no task count")
     rows = bench_complexity(
-        n_values=dims, n_agents=args.m, seed=args.seed,
+        n_values=args.dims, n_agents=args.m, seed=args.seed,
         robust_samples=args.samples, repeats=args.repeats,
     )
     for row in rows:
@@ -191,7 +175,7 @@ def _cmd_bench(args) -> int:
             f"evaluations={row['score_evaluations']}\n"
         )
     if args.out:
-        Path(args.out).write_text(csv_text(rows, BENCH_COLUMNS), newline="")
+        Path(args.out).write_text(csv_text(rows, list(rows[0])), newline="")
     return 0
 
 
@@ -257,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="number of tasks")
     p.add_argument("--m", type=int, required=True, help="number of agents")
     p.add_argument("--sigma", type=float, default=0.1, help="speed variance")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--capacity", type=int, default=None)
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--out", type=str, default=None)
@@ -266,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="allocate one instance with one method")
     p.add_argument("instance", type=str)
     p.add_argument("--method", choices=METHODS, default="auction")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--quadrature", type=int, default=8)
     p.add_argument("--grid", type=float, default=1.0)
     p.add_argument("--samples", type=int, default=100)
@@ -282,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=0.1)
     p.add_argument("--methods", type=str, default=",".join(METHODS))
     p.add_argument("--rounds", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--quadrature", type=int, default=8)
     p.add_argument("--grid", type=float, default=1.0)
     p.add_argument("--samples", type=int, default=100)
@@ -292,10 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("bench", help="evaluation-count and wall-time sweep")
-    p.add_argument("--dims", type=str, default="2,3,4,5",
+    p.add_argument("--dims", type=_task_counts, default="2,3,4,5",
                    help="comma-separated task counts")
     p.add_argument("--m", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--out", type=str, default=None)
@@ -306,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("submodularity", "monotonicity", "optimality",
                             "convergence", "all"))
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.set_defaults(func=_cmd_check)
 
     return parser

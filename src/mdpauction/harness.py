@@ -1,5 +1,7 @@
 """Experiment orchestration, property suites, and the brute-force referee.
 
+`run_mission`, the one mission runner for `mdpauction validate` and the sweep,
+allocates every method and rolls the allocations out on paired scenarios.
 Everything here is seeded and deterministic: instance seeds derive from the
 master seed through SeedSequence, rollouts pair scenarios across methods, and
 CSV output is byte-identical across runs except for wall-time columns.
@@ -15,6 +17,7 @@ import itertools
 import math
 import os
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -290,75 +293,65 @@ def run_method(
     return allocation, None, 0.0, time.perf_counter() - t0
 
 
-def run_cell_instance(cfg: ExperimentConfig, n: int, m: int, sigma: float, seed: int) -> list[dict]:
-    """All method rows for one generated instance (rollouts paired by seed)."""
-    inst = generate_instance(
-        GenerationConfig(n_tasks=n, n_agents=m, sigma_v_sq=sigma, seed=seed)
-    )
-    network = NetworkModel.from_name(cfg.topology, m, cfg.master_seed)
-    robust_cfg = RobustConfig(cfg.robust_samples, derive_seed(cfg.master_seed, 7001, seed))
-    rows = []
-    allocations: dict[str, AllocationResult] = {}
-    solvers: dict[str, ValueSolver | None] = {}
-    timings: dict[str, tuple[float, float]] = {}
-    for method in cfg.methods:
+def run_mission(
+    inst: MissionInstance,
+    methods: Sequence[str],
+    network: NetworkModel,
+    robust_cfg: RobustConfig,
+    quadrature_nodes: int = 8,
+    grid_step: float = 1.0,
+    wrapping: bool = True,
+    max_rounds: int | None = None,
+    rounds: int = 100,
+    seed: int = 0,
+) -> list[dict]:
+    """One row per method, in `methods` order: the allocation's counters and wall
+    times, then its `RolloutReport` fields from `rounds` rollouts on one scenario
+    list seeded by `seed` and shared by all methods (`rounds` <= 0: no rollouts).
+    """
+    for i, method in enumerate(methods):
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}")
+        if method in methods[:i]:
+            raise ValueError(f"method {method!r} is repeated in --methods")
+    rows, allocations, auction_solver = [], {}, None
+    for method in methods:
         allocation, solver, setup_s, coord_s = run_method(
-            inst, method, network, robust_cfg, cfg.quadrature_nodes, cfg.grid_step,
-            cfg.wrapping, cfg.max_rounds,
+            inst, method, network, robust_cfg, quadrature_nodes, grid_step, wrapping, max_rounds
         )
         allocations[method] = allocation
-        solvers[method] = solver
-        timings[method] = (setup_s, coord_s)
-    if cfg.rollout_rounds > 0:
-        solver = solvers.get("auction")
-        reports = validate(
-            inst,
-            allocations,
-            rounds=cfg.rollout_rounds,
-            seed=derive_seed(cfg.master_seed, 40, seed),
-            solver=solver,
-        )
-    else:
-        reports = None
-    for method in cfg.methods:
-        allocation = allocations[method]
-        setup_s, coord_s = timings[method]
-        row = {
-            "n_tasks": n,
-            "n_agents": m,
-            "sigma_v_sq": sigma,
-            "instance_seed": seed,
+        if method == "auction":
+            auction_solver = solver
+        rows.append({
             "method": method,
+            "expected_reward": allocation.expected_reward(inst),
             "rounds_to_converge": allocation.rounds_to_converge,
             "converged": allocation.converged,
             "score_evaluations": allocation.score_evaluations,
             "setup_wall_s": setup_s,
             "coordination_wall_s": coord_s,
             "total_wall_s": setup_s + coord_s,
-        }
-        if reports is not None:
-            report = reports[method]
-            row.update(
-                expected_reward=report.expected_reward,
-                actual_reward_mean=report.actual_reward_mean,
-                actual_reward_std=report.actual_reward_std,
-                finish_rate=report.finish_rate,
-                served_total=report.served_total,
-                failed_total=report.failed_total,
-                unassigned_total=report.unassigned_total,
-            )
-        else:
-            row.update(
-                expected_reward=allocation.expected_reward(inst),
-                actual_reward_mean="",
-                actual_reward_std="",
-                finish_rate="",
-                served_total="",
-                failed_total="",
-                unassigned_total="",
-            )
-        rows.append(row)
+        })
+    if rounds > 0:
+        reports = validate(inst, allocations, rounds, seed, auction_solver)
+        for row in rows:
+            row.update(reports[row["method"]].as_row())
     return rows
+
+
+def run_cell_instance(cfg: ExperimentConfig, n: int, m: int, sigma: float, seed: int) -> list[dict]:
+    """All method rows for one generated instance (rollouts paired by seed)."""
+    inst = generate_instance(
+        GenerationConfig(n_tasks=n, n_agents=m, sigma_v_sq=sigma, seed=seed)
+    )
+    rows = run_mission(
+        inst, cfg.methods, NetworkModel.from_name(cfg.topology, m, cfg.master_seed),
+        RobustConfig(cfg.robust_samples, derive_seed(cfg.master_seed, 7001, seed)),
+        cfg.quadrature_nodes, cfg.grid_step, cfg.wrapping, cfg.max_rounds,
+        cfg.rollout_rounds, derive_seed(cfg.master_seed, 40, seed),
+    )
+    cell = {"n_tasks": n, "n_agents": m, "sigma_v_sq": sigma, "instance_seed": seed}
+    return [{**cell, **row} for row in rows]
 
 
 @dataclass

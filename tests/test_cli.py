@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from mdpauction import harness
 from mdpauction.cli import main
 from mdpauction.instance import (
     GenerationConfig,
@@ -228,6 +229,16 @@ def test_validate_rejects_empty_or_repeated_methods(tmp_path, capsys, methods, m
     assert not out_path.exists()
 
 
+def test_validate_rejects_zero_rounds_before_allocating(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no method may run")
+
+    monkeypatch.setattr(harness, "run_auction", refuse)
+    monkeypatch.setattr(harness, "run_cbba", refuse)
+    code, out, err = run_cli(["validate", "--n", "3", "--m", "2", "--rounds", "0"], capsys)
+    assert (code, out, err) == (1, "", "error: rounds must be >= 1\n")
+
+
 # --- bench -------------------------------------------------------------------------
 
 
@@ -315,6 +326,22 @@ def test_check_zero_trials_is_rejected(capsys):
     )
     assert code == 1 and out == ""
     assert "--trials must be >= 1, got 0" in err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["gen", "--n", "2", "--m", "1", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+    (["solve", "m.json", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+    (["validate", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+    (["bench", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+    (["check", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+    (["bench", "--dims", "a"], "argument --dims: invalid int value in 'a'"),
+    (["bench", "--dims", "2,x"], "argument --dims: invalid int value in '2,x'"),
+], ids=["gen-seed", "solve-seed", "validate-seed", "bench-seed", "check-seed", "dims-a",
+        "dims-2x"])
+def test_bad_seed_or_dims_is_a_usage_error(capsys, args, message):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert err.endswith(f"mdpauction {args[0]}: error: {message}\n")
 
 
 def test_console_script_wiring():

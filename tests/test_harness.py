@@ -25,6 +25,7 @@ from mdpauction.harness import (
     submodularity_study,
 )
 from mdpauction.auction import NetworkModel, run_auction
+from mdpauction.baselines import RobustConfig
 from mdpauction.instance import (
     AgentSpec,
     GenerationConfig,
@@ -307,6 +308,29 @@ def test_parallel_sweep_records_errors_like_serial(monkeypatch):
         serial.rows, include_wall=False
     )
     assert parallel.errors == serial.errors
+
+
+def test_sweep_records_repeated_methods_as_errors():
+    cfg = dataclasses.replace(small_config(), methods=("cbba", "cbba"))
+    result = run_experiment(cfg)
+    assert result.rows == []
+    assert len(result.errors) == 4  # one per mission
+    for error in result.errors:
+        assert error["error"].startswith("ValueError: method 'cbba' is repeated")
+
+
+def test_run_mission_without_rollouts_leaves_rollout_cells_empty():
+    inst = generate_instance(GenerationConfig(n_tasks=3, n_agents=2, sigma_v_sq=0.1, seed=4))
+    args = (inst, ("robust-cbba", "auction"), NetworkModel.complete(2),
+            RobustConfig(10, 5), 4)
+    with_rollouts = harness.run_mission(*args, rounds=10, seed=3)
+    without = harness.run_mission(*args, rounds=0)
+    assert [row["method"] for row in without] == ["robust-cbba", "auction"]
+    for full, bare in zip(with_rollouts, without):
+        assert "actual_reward_mean" not in bare
+        assert full["rollout_count"] == 10
+        kept = set(bare) - set(WALL_COLUMNS)
+        assert {c: full[c] for c in kept} == {c: bare[c] for c in kept}
 
 
 def test_sweep_runs_missions_beyond_the_subset_cap():

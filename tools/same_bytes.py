@@ -7,15 +7,21 @@ Run it on two checkouts: equal digests mean every output below has the same
 bytes. The outputs are `solve` stdout and `--out` JSON for every method and
 topology on generated missions with sigma^2 0 and 0.1, `solve --no-wrap` on
 the sigma^2 0.1 mission, one auction `solve` beyond the subset cap (n = 13,
-which solves one table per queried set), `validate` stdout and CSV, the `bench` CSV without its wall-time columns, `check` for optimality,
-monotonicity, convergence and submodularity, and one `run_experiment` sweep
-(rows without wall times, plus its error records). Every command's exit code
+which solves one table per queried set), `validate` stdout and CSV (on both
+missions, and on the sigma^2 0.1 mission with `--no-wrap`, `--quadrature`,
+`--grid`, `--seed` and `--topology` changed), the `bench` CSV without its
+wall-time columns, `check` for optimality, monotonicity, convergence and
+submodularity, and `run_experiment` sweeps (rows without wall times, plus
+error records): one on a ring, and one base sweep with each of `wrapping`,
+`max_rounds`, `quadrature_nodes`, `grid_step`, `topology` and
+`rollout_rounds` (0: no rollouts) changed in turn. Every command's exit code
 is included.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -57,6 +63,12 @@ def collect(work: Path) -> list[tuple[str, str]]:
         run(["validate", str(mission), "--rounds", "200", "--samples", "30"],
             work / "validate.csv")
     run(["solve", str(work / "mission-0.1.json"), "--no-wrap"], work / "solve.json")
+    # each flag below changes this mission's validate output on its own
+    # (--topology line only together with --seed 2)
+    for flags in (["--no-wrap"], ["--quadrature", "3"], ["--grid", "10"], ["--seed", "2"],
+                  ["--seed", "2", "--topology", "line"]):
+        run(["validate", str(work / "mission-0.1.json"), "--rounds", "200", "--samples", "30",
+             *flags], work / "validate.csv")
     run(["gen", "--n", "13", "--m", "4", "--sigma", "0.1", "--seed", "11",
          "--out", str(work / "mission-13.json")])
     run(["solve", str(work / "mission-13.json"), "--quadrature", "3"], work / "solve.json")
@@ -71,6 +83,17 @@ def collect(work: Path) -> list[tuple[str, str]]:
         rollout_rounds=20, robust_samples=10, topology="ring", master_seed=9))
     outputs.append(("sweep rows", harness.rows_to_csv(sweep.rows, include_wall=False)))
     outputs.append(("sweep errors", json.dumps(sweep.errors, sort_keys=True)))
+
+    # every field change below gives rows that differ from the base sweep's
+    base = harness.ExperimentConfig(
+        dimensions=((3, 2), (6, 3)), sigma_grid=(0.1,), instances_per_cell=2,
+        rollout_rounds=20, robust_samples=10, master_seed=1)
+    for change in ({}, {"wrapping": False}, {"max_rounds": 1}, {"quadrature_nodes": 3},
+                   {"grid_step": 2.0}, {"topology": "line"}, {"rollout_rounds": 0}):
+        sweep = harness.run_experiment(dataclasses.replace(base, **change))
+        outputs.append((f"sweep {change}",
+                        harness.rows_to_csv(sweep.rows, include_wall=False)
+                        + json.dumps(sweep.errors, sort_keys=True)))
     return outputs
 
 
