@@ -16,7 +16,7 @@ from .instance import (
     save_instance,
     serialize_instance,
 )
-from .rollout import RolloutReport, build_policies, execute, sample_scenario, validate
+from .rollout import RolloutReport, execute, sample_scenario, validate
 from .valuedp import (
     Action,
     AgentState,
@@ -51,7 +51,6 @@ __all__ = [
     "Task",
     "ValueSolver",
     "ValueTable",
-    "build_policies",
     "build_quadrature",
     "deterministic_route_reward",
     "execute",

@@ -5,12 +5,14 @@ offers: the (task, gain, path position) triples an agent sees for the tasks
 outside its bundle. `grow_bundle` is the one greedy growth rule, and
 `run_bundle_auction` the one driver from offers to a reported allocation. The
 value-function auction offers the marginal gain of adding j to the bundle's
-value function, appended at the path's end (`marginal_offers`). Shared bids can
-be wrapped down to the bundle's smallest standing bid so the broadcast
-sequence is non-increasing, which restores the diminishing-gain property
-consensus convergence relies on. Conflicts are resolved with the standard
-bundle-algorithm decision table over (winning bid, winner, timestamp) triples;
-losing a task truncates the bundle at the lost entry.
+value function, appended at the path's end (`marginal_offers`), and its
+allocation carries the `ValueSolver` it bid with, whose tables its agents
+execute. Shared bids can be wrapped down to the bundle's smallest standing bid
+so the broadcast sequence is non-increasing, which restores the
+diminishing-gain property consensus convergence relies on. Conflicts are
+resolved with the standard bundle-algorithm decision table over (winning bid,
+winner, timestamp) triples; losing a task truncates the bundle at the lost
+entry.
 
 Agents act synchronously: every cycle is a build phase followed by one message
 exchange over the network. Timestamps never count as state changes (they tick
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -174,6 +176,9 @@ class AllocationResult:
     converged: bool
     score_evaluations: int
     oscillating_tasks: list[int] = field(default_factory=list)
+    # the value-function auction's solver: rollouts follow its tables; the
+    # CBBA variants leave it None and rollouts fly `paths`
+    solver: ValueSolver | None = field(default=None, compare=False, repr=False)
 
     @property
     def total_value(self) -> float:
@@ -467,10 +472,11 @@ def run_auction(
     max_rounds: int | None = None,
     trace: list | None = None,
 ) -> AllocationResult:
-    """Run the value-function auction to consensus and report the allocation."""
+    """Run the value-function auction to consensus and report the allocation,
+    which carries the solver it bid with (by default a fresh `ValueSolver(inst)`)."""
     if solver is None:
         solver = ValueSolver(inst)
-    return run_bundle_auction(
+    allocation = run_bundle_auction(
         "auction",
         inst,
         network,
@@ -481,3 +487,4 @@ def run_auction(
         max_rounds,
         trace,
     )
+    return replace(allocation, solver=solver)

@@ -86,7 +86,7 @@ def _cmd_gen(args) -> int:
 def _cmd_solve(args) -> int:
     inst = load_instance(args.instance)
     network = NetworkModel.from_name(args.topology, inst.n_agents, args.seed)
-    allocation, _, _, _ = run_method(
+    allocation, _, _ = run_method(
         inst, args.method, network, RobustConfig(args.samples, args.seed),
         args.quadrature, args.grid, args.wrap,
     )

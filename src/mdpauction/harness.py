@@ -168,7 +168,8 @@ def classify_r_submodular(
     SCREEN_BYTES_CAP bytes is refused before anything is allocated. The
     assignment grid and the per-subset rewards are each no larger than the
     array, so the peak is about three times it: 38 MiB for the 13 MB array of
-    n = 4 at Q = 2. n = 5 at Q = 2 (about 10 GB) is refused.
+    n = 4 at Q = 2. n = 5 at Q = 2 (about 10 GB) is refused. At zero variance
+    the rule is one exact node, so there is one row whatever Q is.
     """
     if agent is None:
         agent = inst.agents[0]
@@ -260,14 +261,13 @@ def run_method(
     grid_step: float = 1.0,
     wrapping: bool = True,
     max_rounds: int | None = None,
-) -> tuple[AllocationResult, ValueSolver | None, float, float]:
+) -> tuple[AllocationResult, float, float]:
     """Allocate `inst` with one of METHODS.
 
-    Returns (allocation, solver, setup_s, coordination_s); the solver is the
-    auction's (its tables drive the rollout policies) and None for the CBBA
-    variants, which read `robust_cfg`. Within SUBSET_CAP the auction's
-    full-task-set tables are built before coordination starts and timed as
-    setup; beyond it tables are solved per queried set, so setup is 0.
+    Returns (allocation, setup_s, coordination_s); the CBBA variants read
+    `robust_cfg`. Within SUBSET_CAP the auction's full-task-set tables are
+    built before coordination starts and timed as setup; beyond it tables are
+    solved per queried set, so setup is 0.
     """
     if method == "auction":
         solver = ValueSolver(inst, quadrature_nodes=quadrature_nodes, grid_step=grid_step)
@@ -279,7 +279,7 @@ def run_method(
         allocation = run_auction(
             inst, network=network, solver=solver, wrapping=wrapping, max_rounds=max_rounds
         )
-        return allocation, solver, t1 - t0, time.perf_counter() - t1
+        return allocation, t1 - t0, time.perf_counter() - t1
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     t0 = time.perf_counter()
@@ -290,7 +290,7 @@ def run_method(
         robust_cfg=robust_cfg,
         max_rounds=max_rounds,
     )
-    return allocation, None, 0.0, time.perf_counter() - t0
+    return allocation, 0.0, time.perf_counter() - t0
 
 
 def run_mission(
@@ -313,15 +313,13 @@ def run_mission(
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
         if method in methods[:i]:
-            raise ValueError(f"method {method!r} is repeated in --methods")
-    rows, allocations, auction_solver = [], {}, None
+            raise ValueError(f"method {method!r} is repeated")
+    rows, allocations = [], {}
     for method in methods:
-        allocation, solver, setup_s, coord_s = run_method(
+        allocation, setup_s, coord_s = run_method(
             inst, method, network, robust_cfg, quadrature_nodes, grid_step, wrapping, max_rounds
         )
         allocations[method] = allocation
-        if method == "auction":
-            auction_solver = solver
         rows.append({
             "method": method,
             "expected_reward": allocation.expected_reward(inst),
@@ -333,7 +331,7 @@ def run_mission(
             "total_wall_s": setup_s + coord_s,
         })
     if rounds > 0:
-        reports = validate(inst, allocations, rounds, seed, auction_solver)
+        reports = validate(inst, allocations, rounds, seed)
         for row in rows:
             row.update(reports[row["method"]].as_row())
     return rows
@@ -612,7 +610,7 @@ def bench_complexity(
                 best_setup, best_coord = math.inf, math.inf
                 allocation = None
                 for _ in range(repeats):
-                    allocation, _, setup_s, coord_s = run_method(
+                    allocation, setup_s, coord_s = run_method(
                         inst, method, network, robust_cfg
                     )
                     best_setup = min(best_setup, setup_s)

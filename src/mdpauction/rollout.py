@@ -2,12 +2,16 @@
 
 A scenario fixes one truncated-normal speed per ordered location pair; every
 method is replayed on the same scenario list (paired comparison), running its
-policies over all scenarios in lockstep (`execute` is the one-scenario case).
-Execution keeps exact continuous times for rewards and feasibility; the
-value-table policy only sees times snapped up to its grid when it is asked for
-the next action. The global reward of one rollout is the summed price of
-served tasks minus the penalty for every task that was assigned but not
-served, and for every task left unassigned by the planner.
+agents over all scenarios in lockstep (`execute` is the one-scenario case). An
+allocation that carries a solver (the value-function auction's) has each agent
+follow that solver's table for its bundle, re-reading the action at every
+realized state, so the rollout executes the tables the bids came from; any
+other allocation flies its frozen paths, passing through failures. Execution
+keeps exact continuous times for rewards and feasibility; the value-table
+policy only sees times snapped up to its grid when it is asked for the next
+action. The global reward of one rollout is the summed price of served tasks
+minus the penalty for every task that was assigned but not served, and for
+every task left unassigned by the planner.
 """
 
 from __future__ import annotations
@@ -15,30 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from itertools import compress
-from typing import Union
 
 import numpy as np
 
 from .auction import AllocationResult
 from .instance import MissionInstance
-from .valuedp import Legs, Scenario, ValueSolver, ValueTable
-
-
-@dataclass(frozen=True)
-class MdpPolicy:
-    """Re-queries the value table's argmax at every realized (snapped) state."""
-
-    table: ValueTable
-
-
-@dataclass(frozen=True)
-class FixedPath:
-    """Visits a frozen order, passing through failures."""
-
-    path: tuple[int, ...]
-
-
-ExecutionPolicy = Union[MdpPolicy, FixedPath]
+from .valuedp import Legs, Scenario, ValueTable
 
 
 @dataclass
@@ -118,10 +104,7 @@ def _follow_table(legs: Legs, table: ValueTable, assigned: list[int],
 
 
 def _execute_rows(
-    inst: MissionInstance,
-    allocation: AllocationResult,
-    policies: dict[int, ExecutionPolicy],
-    speeds: np.ndarray,
+    inst: MissionInstance, allocation: AllocationResult, speeds: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Served and failed tasks, each (R, n) bool, of every agent on R scenario rows.
 
@@ -133,11 +116,10 @@ def _execute_rows(
     for agent in inst.agents:
         legs = Legs.of(inst, agent, speeds)
         assigned = allocation.assignment.get(agent.id, [])
-        policy = policies[agent.id]
-        if isinstance(policy, FixedPath):
-            _fly_path(legs, policy.path, served)
+        if allocation.solver is not None:
+            _follow_table(legs, allocation.solver.table(agent, assigned), assigned, served)
         else:
-            _follow_table(legs, policy.table, assigned, served)
+            _fly_path(legs, allocation.paths.get(agent.id, []), served)
         mine = sorted(set(assigned))
         failed[:, mine] = ~served[:, mine]
     return served, failed
@@ -155,11 +137,10 @@ def _rewards(inst: MissionInstance, served: np.ndarray, failed: np.ndarray,
 def execute(
     inst: MissionInstance,
     allocation: AllocationResult,
-    policies: dict[int, ExecutionPolicy],
     scenario: Scenario,
 ) -> RolloutOutcome:
-    """Replay every agent's policy on one scenario and account globally."""
-    served, failed = _execute_rows(inst, allocation, policies, scenario.speeds[None])
+    """Replay every agent of `allocation` on one scenario and account globally."""
+    served, failed = _execute_rows(inst, allocation, scenario.speeds[None])
     unassigned = list(allocation.unassigned)
     return RolloutOutcome(
         reward=_rewards(inst, served, failed, len(unassigned))[0],
@@ -169,37 +150,16 @@ def execute(
     )
 
 
-def build_policies(
-    inst: MissionInstance,
-    allocation: AllocationResult,
-    solver: ValueSolver | None = None,
-) -> dict[int, ExecutionPolicy]:
-    """Value-table policies for the auction method, fixed paths for baselines."""
-    policies: dict[int, ExecutionPolicy] = {}
-    if allocation.method == "auction":
-        if solver is None:
-            solver = ValueSolver(inst)
-        for agent in inst.agents:
-            policies[agent.id] = MdpPolicy(
-                solver.table(agent, allocation.assignment.get(agent.id, []))
-            )
-    else:
-        for agent in inst.agents:
-            policies[agent.id] = FixedPath(tuple(allocation.paths.get(agent.id, [])))
-    return policies
-
-
 def validate(
     inst: MissionInstance,
     allocations: dict[str, AllocationResult],
     rounds: int = 100,
     seed: int = 0,
-    solver: ValueSolver | None = None,
 ) -> dict[str, RolloutReport]:
     """Roll every method over the same scenario list and summarize.
 
     Scenario r is sampled from (seed, r), so reports are deterministic and the
-    comparison across methods is paired. Each method's policies run over all
+    comparison across methods is paired. Each method's agents run over all
     scenarios at once; memory is R*L^2*8 bytes for the (R, L, L) speeds, with
     L = n + 1 locations, plus O(R*n) for the served and failed arrays and the
     per-row state (2.3 MB of speeds at R = 1000, n = 16).
@@ -211,8 +171,7 @@ def validate(
     speeds = _sample_speeds(inst, scenario_seeds)
     reports: dict[str, RolloutReport] = {}
     for method, allocation in allocations.items():
-        policies = build_policies(inst, allocation, solver)
-        served, failed = _execute_rows(inst, allocation, policies, speeds)
+        served, failed = _execute_rows(inst, allocation, speeds)
         rewards = _rewards(inst, served, failed, len(allocation.unassigned))
         served_total = int(served.sum())
         failed_total = int(failed.sum())

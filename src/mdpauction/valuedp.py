@@ -48,27 +48,18 @@ def build_quadrature(speed: SpeedModel, node_count: int) -> QuadratureRule:
     """Gauss-Hermite rule for the truncated speed distribution.
 
     Nodes are mapped through N(mean, variance), censored at the truncation
-    floor, and the weights renormalized to sum to one exactly.
+    floor, and the weights renormalized to sum to one exactly. Zero variance
+    collapses to the one exact node at the mean, whatever `node_count` is.
     """
+    if speed.variance == 0.0:
+        return QuadratureRule((speed.mean,), (1.0,))
     if node_count < 1:
         raise ValueError(f"node_count must be >= 1, got {node_count}")
-    if speed.variance == 0.0:
-        if node_count == 1:
-            return QuadratureRule((speed.mean,), (1.0,))
-        nodes = (speed.mean,) * node_count
-        weights = _hermite_weights(node_count)
-        return QuadratureRule(nodes, weights)
     x, w = np.polynomial.hermite.hermgauss(node_count)
     speeds = speed.mean + math.sqrt(2.0) * speed.std * x
     speeds = np.maximum(speeds, speed.truncation_floor)
     w = w / w.sum()
     return QuadratureRule(tuple(float(v) for v in speeds), tuple(float(v) for v in w))
-
-
-def _hermite_weights(node_count: int) -> tuple[float, ...]:
-    _, w = np.polynomial.hermite.hermgauss(node_count)
-    w = w / w.sum()
-    return tuple(float(v) for v in w)
 
 
 @dataclass(frozen=True)
@@ -249,8 +240,7 @@ def solve_value(
     if k > SUBSET_CAP:
         raise ValueError(f"|allocated| = {k} exceeds the subset cap {SUBSET_CAP}")
     if quad is None:
-        # one node suffices at zero variance and keeps sums exact
-        quad = build_quadrature(agent.speed, 1 if agent.speed.variance == 0.0 else 8)
+        quad = build_quadrature(agent.speed, 8)
 
     delta = float(grid_step)
     T = int(math.floor(inst.horizon / delta))  # bins 0..T are within the horizon
@@ -436,12 +426,8 @@ class ValueSolver:
         quadrature_nodes: int = 8,
         grid_step: float = 1.0,
     ):
-        # zero variance collapses to the exact single node whatever Q is
-        nodes = 1 if inst.speed.variance == 0.0 else quadrature_nodes
-        if nodes < 1:
-            raise ValueError("quadrature_nodes must be >= 1")
         self.instance = inst
-        self.quad = build_quadrature(inst.speed, nodes)
+        self.quad = build_quadrature(inst.speed, quadrature_nodes)
         self.grid_step = float(grid_step)
         self.evaluations: dict[int, int] = {a.id: 0 for a in inst.agents}
         # keyed by (start, ground set)

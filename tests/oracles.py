@@ -35,7 +35,7 @@ from mdpauction.baselines import (
     path_reward,
 )
 from mdpauction.instance import distance
-from mdpauction.rollout import FixedPath, RolloutReport, build_policies
+from mdpauction.rollout import RolloutReport
 from mdpauction.valuedp import (
     FINISH,
     SERVE,
@@ -252,8 +252,20 @@ def next_action_per_state(table, state):
     return Action(FINISH)
 
 
-def execute_agent_per_scenario(inst, agent, assigned, policy, scenario, stops=None):
-    """(served, failed) task ids for one agent, one policy read per step.
+def agent_plans(inst, allocation):
+    """Each agent's plan: its bundle's table from the allocation's solver when it
+    carries one, else its frozen path as a tuple."""
+    if allocation.solver is None:
+        return {a.id: tuple(allocation.paths.get(a.id, [])) for a in inst.agents}
+    return {a.id: allocation.solver.table(a, allocation.assignment.get(a.id, []))
+            for a in inst.agents}
+
+
+def execute_agent_per_scenario(inst, agent, assigned, plan, scenario, stops=None):
+    """(served, failed) task ids for one agent, one table read per step.
+
+    A tuple `plan` is a frozen path, flown in order through failures; any
+    other plan is a value table.
 
     `stops`, a Counter, tallies how each table-policy run ended: "empty"
     (nothing left), "finish" (the Finish action) or "horizon" (the snapped
@@ -279,11 +291,11 @@ def execute_agent_per_scenario(inst, agent, assigned, policy, scenario, stops=No
         here = task.location
         here_index = j + 1
 
-    if isinstance(policy, FixedPath):
-        for j in policy.path:
+    if isinstance(plan, tuple):
+        for j in plan:
             fly_and_serve(j)
     else:
-        table = policy.table
+        table = plan
         remaining = set(assigned)
         while remaining:
             action = next_action_per_state(table, AgentState(t, here_index, remaining))
@@ -303,14 +315,14 @@ def execute_agent_per_scenario(inst, agent, assigned, policy, scenario, stops=No
     return served, failed
 
 
-def execute_per_scenario(inst, allocation, policies, scenario, stops=None):
-    """(reward, served, failed) of every agent's policy on one scenario."""
+def execute_per_scenario(inst, allocation, plans, scenario, stops=None):
+    """(reward, served, failed) of every agent's plan on one scenario."""
     served_all = []
     failed_all = []
     for agent in inst.agents:
         assigned = allocation.assignment.get(agent.id, [])
         served, failed = execute_agent_per_scenario(
-            inst, agent, assigned, policies[agent.id], scenario, stops
+            inst, agent, assigned, plans[agent.id], scenario, stops
         )
         served_all.extend(served)
         failed_all.extend(failed)
@@ -320,7 +332,7 @@ def execute_per_scenario(inst, allocation, policies, scenario, stops=None):
     return reward, sorted(served_all), sorted(failed_all)
 
 
-def validate_per_scenario(inst, allocations, rounds, seed, solver=None, stops=None):
+def validate_per_scenario(inst, allocations, rounds, seed, stops=None):
     """`rollout.validate` run one scenario at a time.
 
     Returns (reports, outcomes): outcomes[method][r] is scenario r's
@@ -329,8 +341,8 @@ def validate_per_scenario(inst, allocations, rounds, seed, solver=None, stops=No
     scenarios = [scenario_per_seed(inst, s) for s in scenario_seeds(seed, rounds)]
     reports, outcomes = {}, {}
     for method, allocation in allocations.items():
-        policies = build_policies(inst, allocation, solver)
-        runs = [execute_per_scenario(inst, allocation, policies, sc, stops)
+        plans = agent_plans(inst, allocation)
+        runs = [execute_per_scenario(inst, allocation, plans, sc, stops)
                 for sc in scenarios]
         rewards = [reward for reward, _, _ in runs]
         served_total = sum(len(served) for _, served, _ in runs)

@@ -166,8 +166,7 @@ def trend_reports():
             "auction": run_auction(inst, solver=solver),
             "cbba": run_cbba(inst),
         }
-        reports = validate(inst, allocations, rounds=100,
-                           seed=derive_seed(13, 40, i), solver=solver)
+        reports = validate(inst, allocations, rounds=100, seed=derive_seed(13, 40, i))
         out.append((inst, reports))
     return out
 

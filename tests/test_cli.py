@@ -159,6 +159,13 @@ def test_solve_rejects_non_finite_grid(instance_file, capsys, grid):
     assert err == f"error: grid_step must be finite and > 0, got {float(grid)}\n"
 
 
+def test_solve_rejects_zero_quadrature_nodes(instance_file, capsys):
+    # sigma^2 0.1 needs a rule with at least one node
+    code, out, err = run_cli(["solve", instance_file, "--quadrature", "0"], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: node_count must be >= 1, got 0\n"
+
+
 @pytest.mark.parametrize("command", ["solve", "validate"])
 def test_non_finite_instance_field_is_rejected(instance_file, capsys, command):
     with open(instance_file) as fh:

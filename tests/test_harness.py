@@ -170,6 +170,25 @@ def test_route_screen_refuses_oversized_grid_before_allocating():
     assert peak < 1 << 20
 
 
+def test_route_screen_at_zero_variance_scores_one_row(monkeypatch):
+    # zero variance is one exact node whatever Q is: n = 5 at Q = 2, refused
+    # above at sigma^2 0.1, scores a single speed row and gives a verdict
+    inst = generate_instance(
+        GenerationConfig(n_tasks=5, n_agents=1, sigma_v_sq=0.0, seed=0)
+    )
+    rows = set()
+    batched = harness.deterministic_route_reward
+
+    def recording(inst, agent, allocated, speeds, due_slack=0.0):
+        rows.add(speeds.shape[0])
+        return batched(inst, agent, allocated, speeds, due_slack)
+
+    monkeypatch.setattr(harness, "deterministic_route_reward", recording)
+    verdict = classify_r_submodular(inst, quadrature_nodes=2)
+    assert rows == {1}
+    assert verdict == classify_per_assignment(inst, quadrature_nodes=2)
+
+
 # --- brute force -------------------------------------------------------------------
 
 
@@ -317,6 +336,7 @@ def test_sweep_records_repeated_methods_as_errors():
     assert len(result.errors) == 4  # one per mission
     for error in result.errors:
         assert error["error"].startswith("ValueError: method 'cbba' is repeated")
+        assert "--methods" not in error["error"]  # the sweep has no such flag
 
 
 def test_run_mission_without_rollouts_leaves_rollout_cells_empty():

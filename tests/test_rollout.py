@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from collections import Counter
@@ -16,13 +17,11 @@ from mdpauction.instance import (
     Task,
     generate_instance,
 )
+from mdpauction import valuedp
 from mdpauction.rollout import (
-    FixedPath,
-    MdpPolicy,
     _execute_rows,
     _rewards,
     _sample_speeds,
-    build_policies,
     execute,
     sample_scenario,
     validate,
@@ -30,7 +29,6 @@ from mdpauction.rollout import (
 from mdpauction.valuedp import SUBSET_CAP, ValueSolver, solve_value
 
 from oracles import (
-    execute_per_scenario,
     scenario_per_seed,
     scenario_seeds,
     validate_per_scenario,
@@ -52,7 +50,7 @@ def make_instance(tasks, agent_starts, capacity=3, sigma=0.0):
                            tasks=list(tasks), agents=agents)
 
 
-def manual_result(inst, assignment, unassigned, method="cbba"):
+def manual_result(inst, assignment, unassigned, method="cbba", solver=None):
     return AllocationResult(
         method=method,
         assignment=assignment,
@@ -62,6 +60,7 @@ def manual_result(inst, assignment, unassigned, method="cbba"):
         rounds_to_converge=1,
         converged=True,
         score_evaluations=0,
+        solver=solver,
     )
 
 
@@ -120,7 +119,7 @@ def test_execute_all_unassigned_pays_full_penalty():
     tasks = [make_task(i, 10.0 * (i + 1)) for i in range(3)]
     inst = make_instance(tasks, [(0.0, 0.0)])
     result = manual_result(inst, {0: []}, [0, 1, 2])
-    outcome = execute(inst, result, {0: FixedPath(())}, sample_scenario(inst, 0))
+    outcome = execute(inst, result, sample_scenario(inst, 0))
     assert outcome.reward == -3.0
     assert outcome.served == []
     assert outcome.unassigned == [0, 1, 2]
@@ -132,9 +131,7 @@ def test_execute_counts_failures_against_reward():
     stale = make_task(1, 300.0, due=100.0)
     inst = make_instance([good, stale], [(0.0, 0.0)])
     result = manual_result(inst, {0: [0, 1]}, [])
-    outcome = execute(
-        inst, result, {0: FixedPath((0, 1))}, sample_scenario(inst, 0)
-    )
+    outcome = execute(inst, result, sample_scenario(inst, 0))
     assert outcome.served == [0]
     assert outcome.failed == [1]
     assert outcome.reward == 0.0
@@ -150,24 +147,21 @@ def test_execute_mixed_accounting():
     ]
     inst = make_instance(tasks, [(0.0, 0.0)])
     result = manual_result(inst, {0: [0, 1, 2]}, [3])
-    outcome = execute(
-        inst, result, {0: FixedPath((0, 1, 2))}, sample_scenario(inst, 0)
-    )
+    outcome = execute(inst, result, sample_scenario(inst, 0))
     assert outcome.served == [0, 1]
     assert outcome.failed == [2]
     assert outcome.reward == 0.0
 
 
 def test_mdp_policy_skips_expired_tasks():
-    # the table policy should walk away from the expired task instead of flying
+    # the table policy should walk away from the expired task instead of
+    # flying, whatever order the frozen path lists
     good = make_task(0, 10.0)
     stale = make_task(1, 300.0, due=100.0)
     inst = make_instance([good, stale], [(0.0, 0.0)])
     solver = ValueSolver(inst, quadrature_nodes=1)
-    result = manual_result(inst, {0: [0, 1]}, [], method="auction")
-    policies = build_policies(inst, result, solver)
-    assert isinstance(policies[0], MdpPolicy)
-    outcome = execute(inst, result, policies, sample_scenario(inst, 0))
+    result = manual_result(inst, {0: [1, 0]}, [], method="auction", solver=solver)
+    outcome = execute(inst, result, sample_scenario(inst, 0))
     assert outcome.served == [0]
     assert outcome.failed == [1]
     assert outcome.reward == 0.0
@@ -178,19 +172,25 @@ def test_arrival_exactly_at_due_time_is_served():
     inst = make_instance([make_task(0, 10.0, due=10.0)], [(0.0, 0.0)])
     solver = ValueSolver(inst, quadrature_nodes=1)
     fixed = manual_result(inst, {0: [0]}, [])
-    adaptive = manual_result(inst, {0: [0]}, [], method="auction")
+    adaptive = manual_result(inst, {0: [0]}, [], method="auction", solver=solver)
     for result in (fixed, adaptive):
-        policies = build_policies(inst, result, solver)
-        outcome = execute(inst, result, policies, sample_scenario(inst, 0))
+        outcome = execute(inst, result, sample_scenario(inst, 0))
         assert outcome.served == [0]
         assert outcome.reward == 1.0
 
 
-def test_build_policies_fixed_for_baselines():
-    inst = make_instance([make_task(0, 10.0)], [(0.0, 0.0)])
-    result = manual_result(inst, {0: [0]}, [], method="cbba")
-    policies = build_policies(inst, result)
-    assert policies[0] == FixedPath((0,))
+def test_allocation_without_solver_flies_its_paths():
+    # with no solver the frozen path is flown in its own order, whatever the
+    # method is called: the expired task first, then the good one too late
+    good = make_task(0, 10.0)
+    stale = make_task(1, 300.0, due=100.0)
+    inst = make_instance([good, stale], [(0.0, 0.0)])
+    for method in ("cbba", "auction"):
+        result = manual_result(inst, {0: [1, 0]}, [], method=method)
+        outcome = execute(inst, result, sample_scenario(inst, 0))
+        assert outcome.served == []
+        assert outcome.failed == [0, 1]
+        assert outcome.reward == -2.0
 
 
 # --- validate ----------------------------------------------------------------------
@@ -214,7 +214,7 @@ def test_reward_identity_unit_prices():
             "auction": run_auction(inst, solver=solver),
             "cbba": run_cbba(inst),
         }
-        reports = validate(inst, allocations, rounds=40, seed=seed, solver=solver)
+        reports = validate(inst, allocations, rounds=40, seed=seed)
         for rep in reports.values():
             implied = (
                 rep.served_total - rep.failed_total - rep.unassigned_total
@@ -232,9 +232,7 @@ def test_reward_identity_full_assignment_arithmetic():
     solver = ValueSolver(inst, quadrature_nodes=4)
     result = run_auction(inst, solver=solver)
     assert not result.unassigned  # construction check: all tasks assigned
-    rep = validate(inst, {"auction": result}, rounds=200, seed=3, solver=solver)[
-        "auction"
-    ]
+    rep = validate(inst, {"auction": result}, rounds=200, seed=3)["auction"]
     assert rep.actual_reward_mean == pytest.approx(
         inst.n_tasks * (2 * rep.finish_rate - 1), abs=1e-9
     )
@@ -247,9 +245,7 @@ def test_zero_variance_actual_equals_expected():
         )
         solver = ValueSolver(inst, quadrature_nodes=1)
         result = run_auction(inst, solver=solver)
-        rep = validate(inst, {"auction": result}, rounds=5, seed=seed, solver=solver)[
-            "auction"
-        ]
+        rep = validate(inst, {"auction": result}, rounds=5, seed=seed)["auction"]
         assert rep.actual_reward_std == 0.0
         assert rep.actual_reward_mean == rep.expected_reward
 
@@ -283,17 +279,11 @@ def test_adaptive_policy_dominates_frozen_path():
             GenerationConfig(n_tasks=4, n_agents=2, sigma_v_sq=0.1, seed=100 + seed)
         )
         solver = ValueSolver(inst, quadrature_nodes=4)
-        result = run_auction(inst, solver=solver)
-        adaptive = build_policies(inst, result, solver)
-        frozen = {
-            a.id: FixedPath(tuple(result.paths.get(a.id, []))) for a in inst.agents
-        }
+        adaptive = run_auction(inst, solver=solver)
+        frozen = dataclasses.replace(adaptive, solver=None)
         for r in range(100):
             sc = sample_scenario(inst, 777_000 + seed * 1000 + r)
-            total += (
-                execute(inst, result, adaptive, sc).reward
-                - execute(inst, result, frozen, sc).reward
-            )
+            total += execute(inst, adaptive, sc).reward - execute(inst, frozen, sc).reward
             count += 1
     assert count == 1000
     assert total / count > 0.5
@@ -306,10 +296,10 @@ def hex_row(report):
     return {k: v.hex() if isinstance(v, float) else v for k, v in report.as_row().items()}
 
 
-def assert_rows_match_oracle(inst, allocations, rounds, seed, solver, stops=None):
+def assert_rows_match_oracle(inst, allocations, rounds, seed, stops=None):
     """validate's reports bit for bit, and every scenario's served and failed."""
-    want, outcomes = validate_per_scenario(inst, allocations, rounds, seed, solver, stops)
-    got = validate(inst, allocations, rounds=rounds, seed=seed, solver=solver)
+    want, outcomes = validate_per_scenario(inst, allocations, rounds, seed, stops)
+    got = validate(inst, allocations, rounds=rounds, seed=seed)
     assert list(got) == list(want)
     for method in allocations:
         assert hex_row(got[method]) == hex_row(want[method]), method
@@ -318,8 +308,7 @@ def assert_rows_match_oracle(inst, allocations, rounds, seed, solver, stops=None
     for r, s in enumerate(seeds):
         assert speeds[r].tobytes() == scenario_per_seed(inst, s).speeds.tobytes()
     for method, allocation in allocations.items():
-        policies = build_policies(inst, allocation, solver)
-        served, failed = _execute_rows(inst, allocation, policies, speeds)
+        served, failed = _execute_rows(inst, allocation, speeds)
         rewards = _rewards(inst, served, failed, len(allocation.unassigned))
         for r, (reward, served_ids, failed_ids) in enumerate(outcomes[method]):
             assert np.flatnonzero(served[r]).tolist() == served_ids, (method, r)
@@ -365,7 +354,7 @@ def test_lockstep_validate_bit_identical_to_per_scenario_loop():
             "robust-cbba": run_cbba(inst, variant="robust",
                                    robust_cfg=RobustConfig(sample_count=8, seed=i)),
         }
-        assert_rows_match_oracle(inst, allocations, rounds, i, solver, stops)
+        assert_rows_match_oracle(inst, allocations, rounds, i, stops)
     # late arrivals, runs that end past the horizon and runs that resolve
     # every task all occur
     assert stops["late"] and stops["horizon"] and stops["empty"], stops
@@ -392,4 +381,30 @@ def test_beyond_cap_tables_and_rollouts(sigma, nodes, grid):
             for subset in itertools.combinations(bundle, size):
                 want = float(dense.values[dense.mask_of(subset), 0, 0])
                 assert solver.set_value(agent, subset).hex() == want.hex(), subset
-    assert_rows_match_oracle(inst, {"auction": allocation}, 200, 13, solver)
+    assert_rows_match_oracle(inst, {"auction": allocation}, 200, 13)
+
+
+def test_validate_follows_the_tables_the_auction_planned_with(monkeypatch):
+    # planned at Q = 2 on a 15-minute grid, the auction's allocation carries its
+    # solver: validate re-reads those cached tables, solves none, and so
+    # differs from rollouts on a default solver's (Q = 8, grid 1) tables
+    inst = generate_instance(
+        GenerationConfig(n_tasks=6, n_agents=2, sigma_v_sq=0.2, seed=3)
+    )
+    allocation = run_auction(inst, solver=ValueSolver(inst, quadrature_nodes=2, grid_step=15.0))
+    want, _ = validate_per_scenario(inst, {"auction": allocation}, 200, 5)
+    solves = Counter()
+    solve = valuedp.solve_value
+
+    def counting(*args, **kwargs):
+        solves["tables"] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(valuedp, "solve_value", counting)
+    got = validate(inst, {"auction": allocation}, rounds=200, seed=5)
+    assert solves["tables"] == 0
+    assert hex_row(got["auction"]) == hex_row(want["auction"])
+    default = dataclasses.replace(allocation, solver=ValueSolver(inst))
+    other = validate(inst, {"auction": default}, rounds=200, seed=5)
+    assert solves["tables"] > 0
+    assert hex_row(other["auction"]) != hex_row(got["auction"])

@@ -5,15 +5,15 @@
 CHECKOUT (default: this repository) is a checkout whose `src/` is imported.
 Run it on two checkouts: equal digests mean every output below has the same
 bytes. The outputs are `solve` stdout and `--out` JSON for every method and
-topology on generated missions with sigma^2 0 and 0.1, `solve --no-wrap` on
-the sigma^2 0.1 mission, one auction `solve` beyond the subset cap (n = 13,
-which solves one table per queried set), `validate` stdout and CSV (on both
-missions, and on the sigma^2 0.1 mission with `--no-wrap`, `--quadrature`,
-`--grid`, `--seed` and `--topology` changed), the `bench` CSV without its
-wall-time columns, `check` for optimality, monotonicity, convergence and
-submodularity, and `run_experiment` sweeps (rows without wall times, plus
-error records): one on a ring, and one base sweep with each of `wrapping`,
-`max_rounds`, `quadrature_nodes`, `grid_step`, `topology` and
+topology on generated missions with sigma^2 0 and 0.1, `solve --no-wrap` and
+`solve --grid 10` on the sigma^2 0.1 mission, one auction `solve` beyond the
+subset cap (n = 13, which solves one table per queried set), `validate` stdout
+and CSV (on both missions, and on the sigma^2 0.1 mission with `--no-wrap`,
+`--quadrature`, `--grid`, `--seed` and `--topology` changed), the `bench` CSV
+without its wall-time columns, `check` for optimality, monotonicity,
+convergence and submodularity, and `run_experiment` sweeps (rows without wall
+times, plus error records): one on a ring, and one base sweep with each of
+`wrapping`, `max_rounds`, `quadrature_nodes`, `grid_step`, `topology` and
 `rollout_rounds` (0: no rollouts) changed in turn. Every command's exit code
 is included.
 """
@@ -62,7 +62,8 @@ def collect(work: Path) -> list[tuple[str, str]]:
         run(["solve", str(mission), "--quadrature", "3", "--grid", "2"], work / "solve.json")
         run(["validate", str(mission), "--rounds", "200", "--samples", "30"],
             work / "validate.csv")
-    run(["solve", str(work / "mission-0.1.json"), "--no-wrap"], work / "solve.json")
+    for flags in (["--no-wrap"], ["--grid", "10"]):
+        run(["solve", str(work / "mission-0.1.json"), *flags], work / "solve.json")
     # each flag below changes this mission's validate output on its own
     # (--topology line only together with --seed 2)
     for flags in (["--no-wrap"], ["--quadrature", "3"], ["--grid", "10"], ["--seed", "2"],
