@@ -25,7 +25,7 @@ import numpy as np
 from .auction import AllocationResult, NetworkModel, run_auction
 from .baselines import RobustConfig, run_cbba
 from .instance import GenerationConfig, MissionInstance, generate_instance
-from .rollout import validate
+from .rollout import check_rounds, validate
 from .valuedp import (
     SUBSET_CAP,
     ValueSolver,
@@ -266,8 +266,9 @@ def run_method(
 
     Returns (allocation, setup_s, coordination_s); the CBBA variants read
     `robust_cfg`. Within SUBSET_CAP the auction's full-task-set tables are
-    built before coordination starts and timed as setup; beyond it tables are
-    solved per queried set, so setup is 0.
+    built, through the largest capacity at each start, before coordination
+    starts and timed as setup; beyond it tables are solved per queried set, so
+    setup is 0.
     """
     if method == "auction":
         solver = ValueSolver(inst, quadrature_nodes=quadrature_nodes, grid_step=grid_step)
@@ -308,12 +309,15 @@ def run_mission(
     """One row per method, in `methods` order: the allocation's counters and wall
     times, then its `RolloutReport` fields from `rounds` rollouts on one scenario
     list seeded by `seed` and shared by all methods (`rounds` <= 0: no rollouts).
+    Rollouts over `rollout.ROLLOUT_BYTES_CAP` are refused before any allocation.
     """
     for i, method in enumerate(methods):
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
         if method in methods[:i]:
             raise ValueError(f"method {method!r} is repeated")
+    if rounds > 0:
+        check_rounds(inst, rounds)
     rows, allocations = [], {}
     for method in methods:
         allocation, setup_s, coord_s = run_method(

@@ -26,6 +26,8 @@ from .auction import AllocationResult
 from .instance import MissionInstance
 from .valuedp import Legs, Scenario, ValueTable
 
+ROLLOUT_BYTES_CAP = 1 << 28  # bytes `validate` may hold for its scenario rows
+
 
 @dataclass
 class RolloutOutcome:
@@ -55,6 +57,24 @@ class RolloutReport:
 def sample_scenario(inst: MissionInstance, seed: int) -> Scenario:
     """One truncated-normal speed per ordered location pair, deterministic in seed."""
     return Scenario(_sample_speeds(inst, [seed])[0])
+
+
+def rollout_bytes(n_tasks: int, rounds: int) -> int:
+    """Bytes `validate` holds for `rounds` scenario rows over L = n_tasks + 1
+    locations: R*L^2*8 of speeds, plus under 32*L + 256 per row for its seed,
+    served and failed flags, lockstep state and reward lists."""
+    size = n_tasks + 1
+    return rounds * (8 * size * size + 32 * size + 256)
+
+
+def check_rounds(inst: MissionInstance, rounds: int) -> None:
+    """Refuse `rounds` below 1, or over ROLLOUT_BYTES_CAP, before allocating."""
+    if rounds < 1:
+        raise ValueError("rounds must be >= 1")
+    need = rollout_bytes(inst.n_tasks, rounds)
+    if need > ROLLOUT_BYTES_CAP:
+        raise ValueError(f"{rounds} rounds over n={inst.n_tasks} tasks need {need} bytes "
+                         f"of rollout state; the cap is {ROLLOUT_BYTES_CAP}")
 
 
 def _sample_speeds(inst: MissionInstance, seeds: list[int]) -> np.ndarray:
@@ -160,12 +180,12 @@ def validate(
 
     Scenario r is sampled from (seed, r), so reports are deterministic and the
     comparison across methods is paired. Each method's agents run over all
-    scenarios at once; memory is R*L^2*8 bytes for the (R, L, L) speeds, with
-    L = n + 1 locations, plus O(R*n) for the served and failed arrays and the
-    per-row state (2.3 MB of speeds at R = 1000, n = 16).
+    scenarios at once; memory is at most `rollout_bytes`: R*L^2*8 bytes for the
+    (R, L, L) speeds, with L = n + 1 locations, plus O(R*n) for the served and
+    failed arrays and the per-row state (2.3 MB of speeds at R = 1000, n = 16).
+    A scenario list over ROLLOUT_BYTES_CAP is refused before it is sampled.
     """
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
+    check_rounds(inst, rounds)
     scenario_rng = np.random.default_rng((seed, 20240831))
     scenario_seeds = [int(s) for s in scenario_rng.integers(0, 2**63 - 1, size=rounds)]
     speeds = _sample_speeds(inst, scenario_seeds)

@@ -29,6 +29,8 @@ from .instance import AgentSpec, Location, MissionInstance, SpeedModel, distance
 
 SUBSET_CAP = 12
 LAYER_BLOCK_CELLS = 1 << 18  # (mask, location, bin) cells per layer-pass block
+TABLE_BYTES_CAP = 1 << 30  # bytes a value table plus its solve's scratch may hold
+UNSOLVED = -1  # policy code of a cell no layer pass has solved
 
 SERVE, SKIP, FINISH = "serve", "skip", "finish"
 
@@ -144,6 +146,17 @@ class ValueTable:
 
     It depends on the agent only through its start and speed model, so agents
     that share both can share the table.
+
+    `solved` counts the popcount layers of remaining-sets solved so far; masks
+    holding more tasks are unsolved. A table solved through its full set by
+    `solve_value` holds every cell; one solved below it (`solve_value`'s
+    `layers`) also leaves every cell no reader can reach unsolved in the
+    layers it did solve (see `solve_value`). An unsolved cell holds NaN in
+    `values` and UNSOLVED in `policy`, so it never passes as a zero: `lookup`
+    raises on an UNSOLVED code and `value_of` on a NaN. `extend` solves more
+    layers in place. Layer 0 (nothing left: value 0, Finish) and the
+    beyond-horizon time slot are always filled. `computed` counts the cells
+    the layer passes solved.
     """
 
     task_ids: tuple[int, ...]  # sorted global ids; local index = position
@@ -154,6 +167,8 @@ class ValueTable:
     policy: np.ndarray  # (2^k, k+1, T+1) int16 coded actions
     origin: Location
     tasks: tuple  # Task objects aligned with task_ids
+    solved: int = 0
+    computed: int = 0
     _local: dict[int, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -191,6 +206,7 @@ class ValueTable:
         (go, serve, local): go is False where the action is Finish, which it
         always is beyond the horizon or with nothing left; elsewhere the action
         serves (serve True) or skips the table's local task index `local`.
+        Raises ValueError where it would read an unsolved cell.
         """
         k = len(self.task_ids)
         mask = np.asarray(mask)
@@ -198,7 +214,48 @@ class ValueTable:
         asks = (bins < self.time_bins) & (mask != 0)
         b = np.where(asks, bins, 0).astype(np.intp)
         code = np.where(asks, self.policy[mask, loc, b], 2 * k).astype(np.intp)
+        if (code == UNSOLVED).any():
+            raise ValueError("lookup reads an unsolved value-table cell")
         return code < 2 * k, code < k, np.where(code < k, code, code - k)
+
+    def extend(self, layers: int) -> int:
+        """Solve the popcount layers above `solved` through `layers`, in place.
+
+        Exact, because a layer reads only the layers below it. Only a table
+        solved below its full set has layers to add, so the new layers hold
+        only its readable cells, as its lower layers do. Returns the cells
+        computed.
+        """
+        layers = min(layers, len(self.task_ids))
+        if layers <= self.solved:
+            return 0
+        locations = [self.origin] + [t.location for t in self.tasks]
+        transitions = _serve_transitions(self.tasks, locations, self.quad, self.grid_step,
+                                         self.time_bins - 1)
+        return self._solve_through(layers, transitions,
+                                   _first_bins(self.tasks, self.grid_step))
+
+    def _solve_through(self, layers: int, transitions, first_bin: list[int] | None) -> int:
+        """Solve layers solved+1..layers on the serve `transitions`; returns the
+        cells computed (see `_solve_layers` for `first_bin`)."""
+        cells = _solve_layers(self.values, self.policy, range(self.solved + 1, layers + 1),
+                              *transitions, np.asarray(self.quad.weights), first_bin)
+        self.solved = layers
+        self.computed += cells
+        return cells
+
+
+def table_bytes(k: int, n_bins: int, nodes: int) -> int:
+    """Bytes of a k-task table over `n_bins` time bins plus its solve's scratch.
+
+    The table holds 8-byte values over n_bins + 1 time slots and 2-byte codes
+    over n_bins, per (mask, location); the scratch is the bound `solve_value`
+    states for Q = `nodes` quadrature nodes.
+    """
+    cells = (1 << k) * (k + 1)
+    block = max(LAYER_BLOCK_CELLS, (k + 1) * n_bins)
+    return (cells * (n_bins + 1) * 8 + cells * n_bins * 2
+            + 12 * k * nodes * (k + 1) * n_bins + 48 * block + 32 * (1 << k) + 65536)
 
 
 def solve_value(
@@ -207,19 +264,44 @@ def solve_value(
     allocated: Iterable[int],
     quad: QuadratureRule | None = None,
     grid_step: float = 1.0,
+    layers: int | None = None,
 ) -> ValueTable:
-    """Solve the subset DP for `allocated` and return the full value table.
+    """Solve the subset DP for `allocated` and return its value table.
 
     The backward pass handles one popcount layer of remaining-sets at a time,
-    vectorised over the layer's masks, every source location and every time
-    bin, in blocks of at most LAYER_BLOCK_CELLS (mask, location, bin) cells
-    (one mask if a mask alone holds more). Each cell repeats the per-state
-    recursion's arithmetic: a Serve value accumulates
-    `acc += w[q] * (child + collected)` node by node, and the action is the
-    first maximum over Serve by task id, Skip by task id, then Finish. With
-    the nonnegative weights of any rule `build_quadrature` makes, values and
-    policy codes are bit-identical to a per-state loop, and every state is
-    stored, reachable from the start or not.
+    vectorised over the layer's masks and a (location, bin) selection, in
+    blocks of at most LAYER_BLOCK_CELLS cells (one mask if a mask alone holds
+    more). Each cell repeats the per-state recursion's arithmetic: a Serve
+    value accumulates `acc += w[q] * (child + collected)` node by node, and the
+    action is the first maximum over Serve by task id, Skip by task id, then
+    Finish. With the nonnegative weights of any rule `build_quadrature` makes,
+    values and policy codes are bit-identical to a per-state loop on every
+    cell the pass solves.
+
+    With `layers` None (or at least k) every layer is solved and every state
+    is stored, reachable from the start or not. A smaller `layers` solves
+    layers 1..layers and, within them, only the cells a reader can reach from
+    the start at time 0 holding at most `layers` tasks; the rest stay unsolved
+    (see `ValueTable`), and `ValueTable.extend` adds layers later. The
+    readable cells are:
+    - the start (location 0) at bin 0 only: an agent stands there only at
+      time 0, and a skip does not move the clock;
+    - task b's location 1+b only for masks without b (b was just served), and
+      only from bin lb_b = min(ceil((ready_b + service_b) / delta),
+      floor(due_b / delta)) on.
+    Why lb_b holds: a DP serve transition that meets the due time reads
+    ceil((max(arrival, ready_b) + service_b) / delta), at least the first
+    term, and a rollout's clock after an on-time arrival is at least
+    ready_b + service_b, whose bin is no lower. A late DP transition reads the
+    snapped arrival bin m with m * delta > due_b, so m >= floor(due_b /
+    delta). A late rollout arrives at an exact x > due_b and reads ceil(x /
+    delta) >= ceil(due_b / delta) >= floor(due_b / delta). The bound is
+    floor(due_b / delta), not floor(due_b / delta) + 1: when due_b / delta
+    lies just above an integer, rounding can give a late arrival's ceil(x /
+    delta) that integer, one bin below the +1 bound. The margin costs one bin
+    per location. Serve and skip children of a readable cell are readable
+    (a skip keeps the location and the bin), so every cell a solved layer
+    reads is solved.
 
     Scratch memory beyond the returned table, with Q quadrature nodes, T+1
     time bins and C = max(LAYER_BLOCK_CELLS, (k+1)(T+1)) cells per block, is
@@ -228,10 +310,16 @@ def solve_value(
     bytes per block cell for the running maximum, its action codes and one
     candidate row (or one (task, node) pair's temporaries while the
     transitions are built), a few integer arrays over the masks, and Python
-    object overhead.
+    object overhead. A table solved below its full set runs one pass per
+    location, so its blocks hold at most max(LAYER_BLOCK_CELLS, T+1) cells and
+    the same bound holds. A solve whose table plus this bound (`table_bytes`)
+    exceeds TABLE_BYTES_CAP is refused before anything is allocated.
     """
     if not (grid_step > 0.0 and math.isfinite(grid_step)):
         raise ValueError(f"grid_step must be finite and > 0, got {grid_step}")
+    if not math.isfinite(inst.horizon / grid_step):
+        raise ValueError(f"grid_step {grid_step} splits horizon {inst.horizon} into "
+                         f"infinitely many time bins")
     task_ids = tuple(sorted(set(int(j) for j in allocated)))
     for j in task_ids:
         if not (0 <= j < inst.n_tasks):
@@ -245,24 +333,30 @@ def solve_value(
     delta = float(grid_step)
     T = int(math.floor(inst.horizon / delta))  # bins 0..T are within the horizon
     n_bins = T + 1
-    n_loc = k + 1
+    need = table_bytes(k, n_bins, len(quad))
+    if need > TABLE_BYTES_CAP:
+        raise ValueError(
+            f"a value table over k={k} tasks with {n_bins} time bins (horizon "
+            f"{inst.horizon}, grid {delta}) and Q={len(quad)} quadrature nodes needs "
+            f"{need} bytes; the cap is {TABLE_BYTES_CAP}")
+    layers = k if layers is None else max(0, min(int(layers), k))
     tasks = [inst.tasks[j] for j in task_ids]
-    locations = [agent.start] + [t.location for t in tasks]
 
-    child_bin, collected = _serve_transitions(tasks, locations, quad, delta, T)
-    weights = np.asarray(quad.weights)
-    values = np.zeros((1 << k, n_loc, n_bins + 1))
-    policy = np.full((1 << k, n_loc, n_bins), 2 * k, dtype=np.int16)
-    masks = np.arange(1 << k)
-    popcount = sum((masks >> a) & 1 for a in range(k))
-    per_block = max(1, LAYER_BLOCK_CELLS // (n_loc * n_bins))
-    for size in range(1, k + 1):
-        layer = masks[popcount == size]
-        for lo in range(0, layer.size, per_block):
-            _solve_block(values, policy, layer[lo : lo + per_block], child_bin,
-                         collected, weights)
-
-    return ValueTable(
+    # The transitions are allocated before the table, so that their memory,
+    # freed when the solve ends, lies below the table's and the next solve
+    # reuses it. Allocated after the table, it would sit at the heap top, go
+    # back to the system when freed, and be faulted in again by every solve
+    # (about three times the page faults on a run of small cached tables).
+    transitions = _serve_transitions(tasks, [agent.start] + [t.location for t in tasks],
+                                     quad, delta, T)
+    values = np.empty((1 << k, k + 1, n_bins + 1))
+    policy = np.empty((1 << k, k + 1, n_bins), dtype=np.int16)
+    if layers < k:  # a dense pass writes every cell; a pruned one leaves some
+        values.fill(np.nan)
+        policy.fill(UNSOLVED)
+    values[0] = values[:, :, n_bins] = 0.0
+    policy[0] = 2 * k
+    table = ValueTable(
         task_ids=task_ids,
         horizon=inst.horizon,
         grid_step=delta,
@@ -272,6 +366,15 @@ def solve_value(
         origin=agent.start,
         tasks=tuple(tasks),
     )
+    table._solve_through(layers, transitions,
+                         None if layers == k else _first_bins(tasks, delta))
+    return table
+
+
+def _first_bins(tasks, delta) -> list[int]:
+    """lb_b per local task b: the earliest bin read at b's location (see `solve_value`)."""
+    return [max(0, min(math.ceil((t.ready_time + t.service_duration) / delta),
+                       math.floor(t.due_time / delta))) for t in tasks]
 
 
 def _serve_transitions(tasks, locations, quad, delta, T):
@@ -298,11 +401,43 @@ def _serve_transitions(tasks, locations, quad, delta, T):
     return child_bin, collected
 
 
-def _solve_block(values, policy, masks, child_bin, collected, weights) -> None:
-    """Fill `values` and `policy` at `masks`, whose children are all solved."""
-    k, nq = child_bin.shape[:2]
+def _solve_layers(values, policy, sizes, child_bin, collected, weights, first_bin) -> int:
+    """Solve the popcount layers `sizes`, lowest first; returns the cells computed.
+
+    With `first_bin` None each layer is one dense pass over every (location,
+    bin) cell. Otherwise each layer runs one pass per location: the start at
+    bin 0, and location 1+b over the masks without b from bin first_bin[b] on.
+    """
+    k = child_bin.shape[0]
     n_bins = policy.shape[2]
-    best = np.full((masks.size,) + policy.shape[1:], -np.inf)
+    masks = np.arange(1 << k)
+    popcount = sum((masks >> a) & 1 for a in range(k))
+    if first_bin is None:
+        passes = [(None, slice(None), slice(0, n_bins))]
+    else:
+        passes = [(None, slice(0, 1), slice(0, 1))] + [
+            (b, slice(1 + b, 2 + b), slice(lb, n_bins)) for b, lb in enumerate(first_bin)]
+    cells = 0
+    for size in sizes:
+        layer = masks[popcount == size]
+        for b, locs, bins in passes:
+            at = layer if b is None else layer[((layer >> b) & 1) == 0]
+            width = policy[0, locs, bins].size
+            if not (at.size and width):
+                continue
+            per_block = max(1, LAYER_BLOCK_CELLS // width)
+            for lo in range(0, at.size, per_block):
+                _solve_cells(values, policy, at[lo : lo + per_block], locs, bins,
+                             child_bin, collected, weights)
+            cells += at.size * width
+    return cells
+
+
+def _solve_cells(values, policy, masks, locs, bins, child_bin, collected, weights) -> None:
+    """Fill `values` and `policy` at (masks, locs, bins), whose children are all solved."""
+    k, nq = child_bin.shape[:2]
+    child_bin, collected = child_bin[:, :, locs, bins], collected[:, :, locs, bins]
+    best = np.full((masks.size,) + child_bin.shape[2:], -np.inf)
     code = np.full(best.shape, 2 * k, dtype=np.int16)
     acc = np.empty_like(best)
     gain = np.empty_like(best)
@@ -335,12 +470,20 @@ def _solve_block(values, policy, masks, child_bin, collected, weights) -> None:
             offer(out, at, a)
     for a, at in enumerate(members):  # Skip rows
         if at.size:
-            offer(values[masks[at] ^ (1 << a), :, :n_bins], at, k + a)
+            offer(values[masks[at] ^ (1 << a), locs, bins], at, k + a)
     finish = best < 0.0  # Finish (worth 0.0) comes last, so it needs strictly more
     best[finish] = 0.0
     code[finish] = 2 * k
-    values[masks, :, :n_bins] = best
-    policy[masks] = code
+    values[masks, locs, bins] = best
+    policy[masks, locs, bins] = code
+
+
+def _solved(value) -> float:
+    """`value` as a float; a NaN (an unsolved cell) raises ValueError."""
+    value = float(value)
+    if math.isnan(value):
+        raise ValueError("the state reads an unsolved value-table cell")
+    return value
 
 
 def value_of(table: ValueTable, state: AgentState) -> float:
@@ -350,7 +493,7 @@ def value_of(table: ValueTable, state: AgentState) -> float:
     b = table.bin_of(state.time)
     if b >= table.time_bins:
         return 0.0
-    return float(table.values[mask, loc, b])
+    return _solved(table.values[mask, loc, b])
 
 
 def next_action(table: ValueTable, state: AgentState) -> Action:
@@ -383,7 +526,7 @@ def action_value(table: ValueTable, state: AgentState, action: Action) -> float:
     a = table.task_ids.index(j)
     child_mask = mask ^ (1 << a)
     if action.kind == SKIP:
-        return float(table.values[child_mask, loc, b])
+        return _solved(table.values[child_mask, loc, b])
     if action.kind != SERVE:
         raise ValueError(f"unknown action kind {action.kind!r}")
     task = table.tasks[a]
@@ -405,7 +548,21 @@ def action_value(table: ValueTable, state: AgentState, action: Action) -> float:
         else:
             gain = child[min(arrival_bin, T + 1)]
         acc += table.quad.weights[q] * gain
-    return float(acc)
+    return _solved(acc)
+
+
+@dataclass
+class SolverStats:
+    """A `ValueSolver`'s deterministic work counters.
+
+    `cells_computed` counts the cells the layer passes solved (not the cells
+    allocated), across builds and extensions.
+    """
+
+    tables_built: int = 0
+    cache_hits: int = 0
+    layers_extended: int = 0
+    cells_computed: int = 0
 
 
 class ValueSolver:
@@ -415,9 +572,12 @@ class ValueSolver:
     never looks outside `remaining`), so marginal gains V(b + j) - V(b) are two
     lookups. Every agent shares the mission's speed model and so the one
     quadrature rule `quad`; tables are keyed by (start, ground set), so agents
-    that differ only in id or capacity share one solve. `evaluations` counts
-    marginals per agent, which is the score accounting the coordination layer
-    reports.
+    that differ only in id or capacity share one solve. No agent's bundle
+    outgrows its capacity, so a table is solved only through the largest
+    capacity among the agents that share its start, and only on the cells they
+    can read (`solve_value`'s `layers`); a query for a larger set extends it in
+    place. `evaluations` counts marginals per agent, which is the score
+    accounting the coordination layer reports; `stats` counts the solver's work.
     """
 
     def __init__(
@@ -430,24 +590,37 @@ class ValueSolver:
         self.quad = build_quadrature(inst.speed, quadrature_nodes)
         self.grid_step = float(grid_step)
         self.evaluations: dict[int, int] = {a.id: 0 for a in inst.agents}
+        self.stats = SolverStats()
         # keyed by (start, ground set)
         self._tables: dict[tuple, ValueTable] = {}
+        # the layer bound per start: the largest capacity of the agents there
+        self._layers: dict[Location, int] = {}
+        for a in inst.agents:
+            self._layers[a.start] = max(self._layers.get(a.start, 0), a.capacity)
 
     @property
     def total_evaluations(self) -> int:
         return sum(self.evaluations.values())
 
     def table(self, agent: AgentSpec, allocated: Iterable[int] | None = None) -> ValueTable:
-        """A table covering `allocated` (the full task set when it fits the cap)."""
+        """A table covering `allocated`, solved at least through its size.
+
+        The ground set is the full task set when it fits the cap, else
+        `allocated`. With `allocated` omitted: the table over the full task
+        set, solved as far as the start's layer bound.
+        """
         if allocated is None:
-            allocated = range(self.instance.n_tasks)
-        wanted = tuple(sorted(set(int(j) for j in allocated)))
+            allocated, needed = range(self.instance.n_tasks), 0
+        else:
+            allocated = set(int(j) for j in allocated)
+            needed = len(allocated)
         if self.instance.n_tasks <= SUBSET_CAP:
             ground = tuple(range(self.instance.n_tasks))
         else:
-            ground = wanted
+            ground = tuple(sorted(allocated))
         key = (agent.start, ground)
         tab = self._tables.get(key)
+        stats = self.stats
         if tab is None:
             tab = solve_value(
                 self.instance,
@@ -455,8 +628,17 @@ class ValueSolver:
                 ground,
                 quad=self.quad,
                 grid_step=self.grid_step,
+                layers=self._layers.get(agent.start, len(ground)),
             )
             self._tables[key] = tab
+            stats.tables_built += 1
+            stats.cells_computed += tab.computed
+        else:
+            stats.cache_hits += 1
+        if needed > tab.solved:
+            solved = tab.solved
+            stats.cells_computed += tab.extend(needed)
+            stats.layers_extended += tab.solved - solved
         return tab
 
     def set_value(self, agent: AgentSpec, task_set: Iterable[int]) -> float:

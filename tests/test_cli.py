@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -244,6 +245,46 @@ def test_validate_rejects_zero_rounds_before_allocating(monkeypatch, capsys):
     monkeypatch.setattr(harness, "run_cbba", refuse)
     code, out, err = run_cli(["validate", "--n", "3", "--m", "2", "--rounds", "0"], capsys)
     assert (code, out, err) == (1, "", "error: rounds must be >= 1\n")
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_oversized_value_table_is_refused_before_allocating(tmp_path, capsys):
+    # k = 12 at a 0.001-minute grid would ask numpy for ~190 GiB
+    path = tmp_path / "n12.json"
+    run_cli(["gen", "--n", "12", "--m", "3", "--sigma", "0.1", "--seed", "4",
+             "--out", str(path)], capsys)
+    (code, out, err), peak = _peak_bytes(
+        lambda: run_cli(["solve", str(path), "--grid", "0.001"], capsys))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: a value table over k=12 tasks with 480001 time bins")
+    assert "Q=8" in err and "grid 0.001" in err and "horizon 480.0" in err
+    assert peak < 1 << 20, peak
+    # a subnormal grid step makes the bin count overflow a float
+    code, out, err = run_cli(["solve", str(path), "--grid", "1e-320"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: grid_step 1e-320 splits horizon 480.0 into infinitely many time bins\n"
+
+
+def test_oversized_rollout_is_refused_before_allocating(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no method may run")
+
+    monkeypatch.setattr(harness, "run_auction", refuse)
+    monkeypatch.setattr(harness, "run_cbba", refuse)
+    (code, out, err), peak = _peak_bytes(
+        lambda: run_cli(["validate", "--n", "12", "--m", "3", "--rounds", "100000000"],
+                        capsys))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: 100000000 rounds over n=12 tasks need")
+    assert peak < 1 << 20, peak
 
 
 # --- bench -------------------------------------------------------------------------

@@ -408,3 +408,58 @@ def test_validate_follows_the_tables_the_auction_planned_with(monkeypatch):
     other = validate(inst, {"auction": default}, rounds=200, seed=5)
     assert solves["tables"] > 0
     assert hex_row(other["auction"]) != hex_row(got["auction"])
+
+
+@pytest.mark.parametrize("grid", [0.3, 0.7, 3.7])
+def test_lockstep_validate_over_pruned_tables_matches_dense_tables(grid):
+    # tables solved only through the capacity, on their readable cells, on
+    # grids whose multiples are inexact in floating point (dues sit one float
+    # step below one): every rollout reads solved cells only, and replays
+    # exactly as over dense tables
+    late = 0
+    for i in range(6):
+        n, m = 5 + i % 3, 2 + i % 2
+        inst = generate_instance(GenerationConfig(
+            n_tasks=n, n_agents=m, sigma_v_sq=0.3, seed=500 + i, horizon=160.0,
+            mean_speed=2.0))
+        tasks = []
+        for task in inst.tasks:
+            due = math.nextafter(math.floor(task.due_time / grid) * grid, 0.0)
+            tasks.append(dataclasses.replace(task, due_time=due,
+                                             ready_time=min(task.ready_time, due)))
+        inst = dataclasses.replace(inst, tasks=tasks)
+        solver = ValueSolver(inst, quadrature_nodes=3, grid_step=grid)
+        allocation = run_auction(inst, solver=solver)
+        assert all(solver.table(a).solved < n for a in inst.agents)
+        got = validate(inst, {"auction": allocation}, rounds=1000, seed=i)
+        wide = dataclasses.replace(
+            inst, agents=[dataclasses.replace(a, capacity=n) for a in inst.agents])
+        dense = ValueSolver(wide, quadrature_nodes=3, grid_step=grid)
+        assert all(dense.table(a).solved == n for a in inst.agents)
+        want = validate(inst, {"auction": dataclasses.replace(allocation, solver=dense)},
+                        rounds=1000, seed=i)
+        assert hex_row(got["auction"]) == hex_row(want["auction"])
+        late += got["auction"].failed_total
+    assert late > 0
+
+
+def test_validate_memory_within_rollout_bytes():
+    import tracemalloc
+
+    from mdpauction.rollout import rollout_bytes
+
+    for n, rounds in [(1, 5000), (6, 3000), (12, 1000)]:
+        inst = generate_instance(GenerationConfig(n_tasks=n, n_agents=2, sigma_v_sq=0.1,
+                                                  seed=n))
+        allocations = {
+            "auction": run_auction(inst, solver=ValueSolver(inst, quadrature_nodes=2,
+                                                            grid_step=4.0)),
+            "cbba": run_cbba(inst),
+        }
+        tracemalloc.start()
+        try:
+            validate(inst, allocations, rounds=rounds, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= rollout_bytes(n, rounds), (n, peak)

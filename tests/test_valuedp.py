@@ -17,14 +17,17 @@ from mdpauction.instance import (
     distance,
     generate_instance,
 )
+from mdpauction.harness import check_submodularity_V
 from mdpauction.valuedp import (
     FINISH,
     LAYER_BLOCK_CELLS,
     SERVE,
     SKIP,
+    UNSOLVED,
     Action,
     AgentState,
     Scenario,
+    SolverStats,
     ValueSolver,
     action_value,
     build_quadrature,
@@ -519,9 +522,13 @@ def test_solver_separates_agent_starts(monkeypatch):
     tables = [solver.table(a) for a in inst.agents]
     assert calls == [0, 1]
     assert tables[0] is not tables[1] and tables[2] is tables[0]
+    # tables stop at the capacity (3 < 4 tasks): compare the cells they solved
     for agent, table in zip(inst.agents, tables):
         own = solve_value(inst, agent, range(4), quad=solver.quad)
-        assert table.values.tobytes() == own.values.tobytes()
+        solved = readable_cells(table, 3)
+        assert table.solved == 3 and solved[1:].any()
+        assert table.values[..., :-1][solved].tobytes() == own.values[..., :-1][solved].tobytes()
+        assert np.array_equal(table.policy[solved], own.policy[solved])
     assert solver.table(moved) is tables[1]
     assert calls == [0, 1]
 
@@ -536,3 +543,244 @@ def test_solver_evaluations_stay_per_agent():
     solver.marginal_gain(a1, (), 2)
     assert solver.evaluations == {0: 2, 1: 1, 2: 0}
     assert solver.total_evaluations == 3
+
+
+# --- layer bound, readable cells and extension ----------------------------------------
+
+
+def earliest_bin(task, delta):
+    """The earliest bin anyone reads at the task's location: the sooner of the
+    service end after the ready time and the (floored) due time."""
+    return max(0, min(math.ceil((task.ready_time + task.service_duration) / delta),
+                      math.floor(task.due_time / delta)))
+
+
+def readable_cells(table, layers):
+    """Cells of a table solved through `layers` below its full set, by the rule:
+    all of layer 0, and in layers 1..layers the start at bin 0 plus each
+    location 1+b of a mask without b, from task b's earliest bin on."""
+    k = len(table.task_ids)
+    out = np.zeros(table.policy.shape, dtype=bool)
+    out[0] = True
+    for mask in range(1, 1 << k):
+        if bin(mask).count("1") > layers:
+            continue
+        out[mask, 0, 0] = True
+        for b, task in enumerate(table.tasks):
+            if not mask >> b & 1:
+                out[mask, 1 + b, earliest_bin(task, table.grid_step):] = True
+    return out
+
+
+def assert_serve_children_readable(table):
+    """Every serve transition out of a readable cell lands on a readable cell.
+
+    Recomputes the transitions from the task data, node by node: a child at
+    task a's location must sit at or above a's earliest bin (or on the
+    beyond-horizon pad).
+    """
+    k, delta = len(table.task_ids), table.grid_step
+    pad = table.time_bins
+    places = [table.origin] + [t.location for t in table.tasks]
+    for src in range(k + 1):
+        if src == 0:
+            bins = np.array([0])
+        else:
+            bins = np.arange(earliest_bin(table.tasks[src - 1], delta), pad)
+        t = bins * delta
+        for a, task in enumerate(table.tasks):
+            if a + 1 == src:
+                continue
+            dist = distance(places[src], task.location)
+            for speed in table.quad.speeds:
+                arrival = t + dist / speed
+                arrival_bin = np.ceil(arrival / delta)
+                ok = arrival_bin * delta <= task.due_time
+                served = np.ceil((np.maximum(arrival, task.ready_time)
+                                  + task.service_duration) / delta)
+                child = np.minimum(np.where(ok, served, arrival_bin), pad)
+                assert (child >= min(earliest_bin(task, delta), pad)).all(), (src, a)
+
+
+def _pruned_cases():
+    """(k, layer bound, sigma^2, Q, grid, horizon, dues on the grid, duplicate)."""
+    rng = random.Random(20261020)
+    cases = []
+    for i in range(110):
+        k = i % 11
+        q = rng.choice([1, 3, 8])
+        grid = rng.choice([0.3, 0.5, 1.0, 3.7])
+        # large k: a shorter horizon keeps each dense reference solve small
+        bins = max(40, 4_000_000 // (q * (1 << k) * (k + 1)))
+        cases.append((k, rng.randint(1, k) if k else 0, rng.choice([0.0, 0.1, 0.3]), q,
+                      grid, min(480.0, grid * bins), rng.random() < 0.5,
+                      k >= 2 and rng.random() < 0.25))
+    return cases
+
+
+PRUNED_CASES = _pruned_cases()
+
+
+def _on_grid(tasks, grid, rng):
+    """Dues moved onto a grid multiple, or one float step either side of it; half
+    the services end past the due time, so the due bounds the earliest bin."""
+    out = []
+    for task in tasks:
+        edge = math.floor(task.due_time / grid) * grid
+        due = rng.choice([edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf)])
+        ready = min(task.ready_time, due)
+        service = task.service_duration
+        if rng.random() < 0.5:
+            service += due - ready
+        out.append(dataclasses.replace(task, due_time=due, ready_time=ready,
+                                       service_duration=service))
+    return out
+
+
+@pytest.mark.parametrize("case", range(len(PRUNED_CASES)))
+def test_pruned_table_bit_identical_to_dense_on_solved_cells(case):
+    k, bound, sigma, q, grid, horizon, on_grid, duplicate = PRUNED_CASES[case]
+    inst = generate_instance(GenerationConfig(
+        n_tasks=k + 2, n_agents=1, sigma_v_sq=sigma, seed=3000 + case,
+        horizon=horizon, mean_speed=480.0 / horizon))
+    rng = random.Random(case)
+    tasks = list(inst.tasks)
+    if on_grid:
+        tasks = _on_grid(tasks, grid, rng)
+    ids = sorted(rng.sample(range(inst.n_tasks), k))
+    if duplicate:
+        tasks[1] = dataclasses.replace(tasks[0], id=1)
+        ids = [0, 1] + sorted(rng.sample(range(2, k + 2), k - 2))
+    inst = dataclasses.replace(inst, tasks=tasks)
+    agent = inst.agents[0]
+    quad = build_quadrature(agent.speed, q)
+    dense = solve_value(inst, agent, ids, quad=quad, grid_step=grid)
+    table = solve_value(inst, agent, ids, quad=quad, grid_step=grid, layers=bound)
+    assert dense.solved == k and table.solved == bound
+    assert dense.computed == ((1 << k) - 1) * dense.policy[0].size
+    levels = [bound] + ([rng.randint(bound + 1, k)] if bound < k else [])
+    for level in levels:
+        if level > table.solved:
+            before = table.computed
+            assert table.extend(level) == table.computed - before > 0
+        solved = readable_cells(table, level) if bound < k else np.ones(dense.policy.shape, bool)
+        assert table.solved == level
+        assert table.computed == solved[1:].sum()
+        # unsolved cells are NaN with the sentinel code, and nothing else is
+        assert np.array_equal(table.policy != UNSOLVED, solved)
+        assert np.array_equal(~np.isnan(table.values[..., :-1]), solved)
+        assert not table.values[..., -1].any()
+        assert (table.values[..., :-1][solved].tobytes()
+                == dense.values[..., :-1][solved].tobytes())
+        assert np.array_equal(table.policy[solved], dense.policy[solved])
+    if bound < k:
+        assert_serve_children_readable(table)
+
+
+def test_pruned_pass_scratch_memory_bound():
+    # the per-location pass stays inside the dense pass's stated bound
+    inst = random_small_instance(4, n=8, sigma=0.1)
+    agent = inst.agents[0]
+    quad = build_quadrature(agent.speed, 8)
+    tracemalloc.start()
+    try:
+        table = solve_value(inst, agent, range(8), quad=quad, grid_step=0.5, layers=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    k, nq, cells = 8, 8, 9 * table.time_bins
+    bound = (12 * k * nq * cells + 48 * max(LAYER_BLOCK_CELLS, cells)
+             + 32 * 2**k + 65536)
+    assert peak - table.values.nbytes - table.policy.nbytes <= bound
+
+
+def test_unsolved_cells_refuse_to_be_read():
+    inst = random_small_instance(4, n=5, sigma=0.1)
+    agent = inst.agents[0]
+    table = solve_value(inst, agent, range(5), layers=2)
+    late = max(range(5), key=lambda b: earliest_bin(inst.tasks[b], 1.0))
+    assert earliest_bin(inst.tasks[late], 1.0) > 0
+    unsolved = [
+        AgentState(0.0, 0, (0, 1, 2)),  # above the layer bound
+        AgentState(5.0, 0, (0, 1)),  # at the start after time 0
+        AgentState(200.0, 1, (0, 3)),  # at task 0's location with task 0 left
+        AgentState(earliest_bin(inst.tasks[late], 1.0) - 1.0, late + 1,
+                   [j for j in (0, 1, 2, 3, 4) if j != late][:2]),  # below the earliest bin
+    ]
+    for state in unsolved:
+        mask, loc = table.mask_of(state.remaining), table.loc_of(state.at)
+        assert table.policy[mask, loc, table.bin_of(state.time)] == UNSOLVED
+        with pytest.raises(ValueError, match="unsolved"):
+            value_of(table, state)
+        with pytest.raises(ValueError, match="unsolved"):
+            next_action(table, state)
+        with pytest.raises(ValueError, match="unsolved"):
+            table.lookup(np.array([mask, 0]), loc, np.array([state.time, 0.0]))
+    # a Serve value built from unsolved children refuses too
+    with pytest.raises(ValueError, match="unsolved"):
+        action_value(table, AgentState(0.0, 0, (0, 1, 2, 3)), Action(SERVE, 0))
+    # a solved state still reads
+    assert value_of(table, AgentState(0.0, 0, (0, 1))) >= 0.0
+
+
+def test_solver_counts_the_readable_cells_it_solves():
+    inst = generate_instance(GenerationConfig(n_tasks=8, n_agents=3, sigma_v_sq=0.1,
+                                              seed=81))
+    assert [a.capacity for a in inst.agents] == [4, 4, 4]
+    solver = ValueSolver(inst)
+    tables = [solver.table(a) for a in inst.agents]
+    assert tables[0] is tables[1] is tables[2] and tables[0].solved == 4
+    readable = readable_cells(tables[0], 4)[1:].sum()
+    dense = (2**8 - 1) * tables[0].policy[0].size
+    assert solver.stats == SolverStats(tables_built=1, cache_hits=2, layers_extended=0,
+                                       cells_computed=readable)
+    assert readable < dense
+    # a query for six tasks adds two layers, counted as it solves them
+    solver.set_value(inst.agents[0], range(6))
+    assert solver.stats == SolverStats(tables_built=1, cache_hits=3, layers_extended=2,
+                                       cells_computed=readable_cells(tables[0], 6)[1:].sum())
+
+
+def test_submodularity_check_extends_the_capacity_bounded_table(monkeypatch):
+    inst = generate_instance(GenerationConfig(n_tasks=4, n_agents=1, sigma_v_sq=0.1,
+                                              seed=7, capacity=3))
+    agent = inst.agents[0]
+    calls = _count_solves(monkeypatch)
+    solver = ValueSolver(inst, quadrature_nodes=4)
+    report = check_submodularity_V(inst, solver=solver)
+    assert calls == [0]
+    assert solver.table(agent).solved == 4 and solver.stats.layers_extended == 1
+    dense = solve_value(inst, agent, range(4), quad=solver.quad)
+    for size in range(5):
+        for subset in itertools.combinations(range(4), size):
+            want = float(dense.values[dense.mask_of(subset), 0, 0])
+            assert solver.set_value(agent, subset).hex() == want.hex(), subset
+    wide = dataclasses.replace(inst, agents=[dataclasses.replace(agent, capacity=4)])
+    assert report == check_submodularity_V(wide, solver=ValueSolver(wide, quadrature_nodes=4))
+
+
+def test_earliest_bin_keeps_a_float_margin_at_the_due_bin():
+    # a due time one float step below m * 0.3, whose quotient still rounds to
+    # m: a late arrival one step past it reads bin m, below floor(due/0.3) + 1
+    grid = 0.3
+    m = next(m for m in range(100, 1000)
+             if math.floor(math.nextafter(m * grid, 0.0) / grid) == m
+             and math.ceil(math.nextafter(math.nextafter(m * grid, 0.0), math.inf) / grid) == m)
+    due = math.nextafter(m * grid, 0.0)
+    late = math.nextafter(due, math.inf)
+    assert m * grid > due and math.ceil(late / grid) == m
+    # service ends past the due time, so the due bounds the earliest bin
+    task = make_task(0, 20.0, ready=due - 5.0, due=due, tau=30.0)
+    other = make_task(1, 0.0, due=480.0, tau=5.0, windowed=False)
+    inst = make_instance([task, other], sigma=0.2)
+    agent = inst.agents[0]
+    quad = build_quadrature(agent.speed, 8)
+    table = solve_value(inst, agent, (0, 1), quad=quad, grid_step=grid, layers=1)
+    assert earliest_bin(task, grid) == m
+    # the DP's late transitions into task 0's location, and a rollout that
+    # failed it one float step late, both land on solved cells
+    assert_serve_children_readable(table)
+    go, _, _ = table.lookup(np.array([0b10]), 1, np.array([late]))
+    dense = solve_value(inst, agent, (0, 1), quad=quad, grid_step=grid)
+    assert table.values[0b10, 1, m].hex() == dense.values[0b10, 1, m].hex()
+    assert go[0] == (dense.policy[0b10, 1, m] < 4)

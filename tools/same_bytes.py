@@ -9,7 +9,9 @@ topology on generated missions with sigma^2 0 and 0.1, `solve --no-wrap` and
 `solve --grid 10` on the sigma^2 0.1 mission, one auction `solve` beyond the
 subset cap (n = 13, which solves one table per queried set), `validate` stdout
 and CSV (on both missions, and on the sigma^2 0.1 mission with `--no-wrap`,
-`--quadrature`, `--grid`, `--seed` and `--topology` changed), the `bench` CSV
+`--quadrature`, `--grid`, `--seed` and `--topology` changed), `solve` and
+`validate` on an n = 7 mission edited so that its agents share a start but
+have capacities 1, 2 and 5 (tables solved through capacity 5), the `bench` CSV
 without its wall-time columns, `check` for optimality, monotonicity,
 convergence and submodularity, and `run_experiment` sweeps (rows without wall
 times, plus error records): one on a ring, and one base sweep with each of
@@ -70,6 +72,14 @@ def collect(work: Path) -> list[tuple[str, str]]:
                   ["--seed", "2", "--topology", "line"]):
         run(["validate", str(work / "mission-0.1.json"), "--rounds", "200", "--samples", "30",
              *flags], work / "validate.csv")
+    mixed = work / "mission-mixed.json"
+    run(["gen", "--n", "7", "--m", "3", "--sigma", "0.1", "--seed", "12", "--out", str(mixed)])
+    doc = json.loads(mixed.read_text())
+    for agent, capacity in zip(doc["agents"], (1, 2, 5)):
+        agent["capacity"] = capacity
+    mixed.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    run(["solve", str(mixed)], work / "solve.json")
+    run(["validate", str(mixed), "--rounds", "200", "--samples", "30"], work / "validate.csv")
     run(["gen", "--n", "13", "--m", "4", "--sigma", "0.1", "--seed", "11",
          "--out", str(work / "mission-13.json")])
     run(["solve", str(work / "mission-13.json"), "--quadrature", "3"], work / "solve.json")
