@@ -16,7 +16,7 @@ from .instance import (
     save_instance,
     serialize_instance,
 )
-from .rollout import RolloutReport, execute, sample_scenario, validate
+from .rollout import RolloutReport, validate
 from .valuedp import (
     Action,
     AgentState,
@@ -53,7 +53,6 @@ __all__ = [
     "ValueTable",
     "build_quadrature",
     "deterministic_route_reward",
-    "execute",
     "generate_instance",
     "insertion_bid",
     "load_instance",
@@ -62,7 +61,6 @@ __all__ = [
     "path_reward",
     "run_auction",
     "run_cbba",
-    "sample_scenario",
     "save_instance",
     "serialize_instance",
     "solve_value",

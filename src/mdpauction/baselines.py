@@ -22,10 +22,9 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .auction import AllocationResult, NetworkModel, run_bundle_auction
 from .instance import AgentSpec, MissionInstance, distance
+from .rollout import ROLLOUT_BYTES_CAP, rollout_bytes
 from .valuedp import Scenario, mean_scenario
 
 
@@ -89,18 +88,18 @@ def path_reward(
     return PathScore(reward=reward, served=tuple(served), finish_time=t)
 
 
+def check_batch(inst: MissionInstance, cfg: RobustConfig) -> None:
+    """Refuse a robust batch whose `rollout_bytes` exceed ROLLOUT_BYTES_CAP."""
+    need = rollout_bytes(inst.n_tasks, cfg.sample_count)
+    if need > ROLLOUT_BYTES_CAP:
+        raise ValueError(f"sample_count {cfg.sample_count} over n_tasks={inst.n_tasks} needs "
+                         f"{need} bytes of scenario batch; the cap is {ROLLOUT_BYTES_CAP}")
+
+
 def _sample_scenarios(inst: MissionInstance, cfg: RobustConfig, call_index: int) -> list[Scenario]:
     """Per-call scenario batch; deterministic in (cfg.seed, call_index)."""
-    model = inst.speed
     size = inst.n_tasks + 1
-    rng = np.random.default_rng((cfg.seed, call_index))
-    if model.variance == 0.0:
-        speeds = np.full((cfg.sample_count, size, size), model.mean)
-    else:
-        speeds = model.mean + model.std * rng.standard_normal(
-            (cfg.sample_count, size, size)
-        )
-        np.maximum(speeds, model.truncation_floor, out=speeds)
+    speeds = inst.speed.sample([(cfg.seed, call_index)], (cfg.sample_count, size, size))[0]
     return [Scenario(speeds[k]) for k in range(cfg.sample_count)]
 
 
@@ -154,12 +153,17 @@ def run_cbba(
     max_rounds: int | None = None,
     trace: list | None = None,
 ) -> AllocationResult:
-    """Insertion-bid bundle auction to consensus (deterministic or robust)."""
+    """Insertion-bid bundle auction to consensus (deterministic or robust).
+
+    An oversized robust batch is refused before any is sampled (`check_batch`).
+    """
     if variant not in ("deterministic", "robust"):
         raise ValueError(f"unknown variant {variant!r}")
     robust = variant == "robust"
     if robust and robust_cfg is None:
         robust_cfg = RobustConfig()
+    if robust:
+        check_batch(inst, robust_cfg)
     counter = EvalCounter()
     calls = [0] * inst.n_agents  # growth passes so far, per agent
 

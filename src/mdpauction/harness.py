@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .auction import AllocationResult, NetworkModel, run_auction
-from .baselines import RobustConfig, run_cbba
+from .baselines import RobustConfig, check_batch, run_cbba
 from .instance import GenerationConfig, MissionInstance, generate_instance
 from .rollout import check_rounds, validate
 from .valuedp import (
@@ -309,7 +309,8 @@ def run_mission(
     """One row per method, in `methods` order: the allocation's counters and wall
     times, then its `RolloutReport` fields from `rounds` rollouts on one scenario
     list seeded by `seed` and shared by all methods (`rounds` <= 0: no rollouts).
-    Rollouts over `rollout.ROLLOUT_BYTES_CAP` are refused before any allocation.
+    Rollouts or a robust scenario batch over `rollout.ROLLOUT_BYTES_CAP` are
+    refused before any allocation.
     """
     for i, method in enumerate(methods):
         if method not in METHODS:
@@ -318,6 +319,8 @@ def run_mission(
             raise ValueError(f"method {method!r} is repeated")
     if rounds > 0:
         check_rounds(inst, rounds)
+    if "robust-cbba" in methods:
+        check_batch(inst, robust_cfg)
     rows, allocations = [], {}
     for method in methods:
         allocation, setup_s, coord_s = run_method(

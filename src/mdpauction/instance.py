@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 WINDOW_PROBABILITIES = (0.25, 0.5, 0.75, 1.0)
@@ -93,6 +94,25 @@ class SpeedModel:
     @property
     def std(self) -> float:
         return math.sqrt(self.variance)
+
+    def sample(self, seeds: Sequence, shape: tuple[int, ...]):
+        """(len(seeds), *shape) speeds; row r is drawn from `default_rng(seeds[r])`.
+
+        Every entry is max(mean + std * z, truncation_floor) for the row's
+        standard normals z in order. At zero variance every entry is the mean
+        and no generator is created.
+        """
+        import numpy as np
+
+        out = np.empty((len(seeds), *shape))
+        if self.variance == 0.0:
+            out.fill(self.mean)
+            return out
+        for row, seed in zip(out, seeds):
+            np.random.default_rng(seed).standard_normal(out=row)
+        out *= self.std
+        out += self.mean
+        return np.maximum(out, self.truncation_floor, out=out)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """Monte Carlo execution of allocations under realized speeds.
 
-A scenario fixes one truncated-normal speed per ordered location pair; every
-method is replayed on the same scenario list (paired comparison), running its
-agents over all scenarios in lockstep (`execute` is the one-scenario case). An
-allocation that carries a solver (the value-function auction's) has each agent
-follow that solver's table for its bundle, re-reading the action at every
+A scenario fixes one truncated-normal speed per ordered location pair
+(`SpeedModel.sample`); `validate` replays every method on the same scenario
+list (paired comparison), running its agents over all scenarios in lockstep.
+An allocation that carries a solver (the value-function auction's) has each
+agent follow that solver's table for its bundle, re-reading the action at every
 realized state, so the rollout executes the tables the bids came from; any
 other allocation flies its frozen paths, passing through failures. Execution
 keeps exact continuous times for rewards and feasibility; the value-table
@@ -24,17 +24,9 @@ import numpy as np
 
 from .auction import AllocationResult
 from .instance import MissionInstance
-from .valuedp import Legs, Scenario, ValueTable
+from .valuedp import Legs, ValueTable
 
-ROLLOUT_BYTES_CAP = 1 << 28  # bytes `validate` may hold for its scenario rows
-
-
-@dataclass
-class RolloutOutcome:
-    reward: float
-    served: list[int]
-    failed: list[int]
-    unassigned: list[int]
+ROLLOUT_BYTES_CAP = 1 << 28  # bytes a rollout list or a robust batch of scenarios may hold
 
 
 @dataclass
@@ -54,15 +46,12 @@ class RolloutReport:
         return asdict(self)
 
 
-def sample_scenario(inst: MissionInstance, seed: int) -> Scenario:
-    """One truncated-normal speed per ordered location pair, deterministic in seed."""
-    return Scenario(_sample_speeds(inst, [seed])[0])
-
-
 def rollout_bytes(n_tasks: int, rounds: int) -> int:
     """Bytes `validate` holds for `rounds` scenario rows over L = n_tasks + 1
     locations: R*L^2*8 of speeds, plus under 32*L + 256 per row for its seed,
-    served and failed flags, lockstep state and reward lists."""
+    served and failed flags, lockstep state and reward lists. A robust-CBBA
+    batch of as many rows holds the same speeds plus a `Scenario` view per row,
+    which the per-row term also covers."""
     size = n_tasks + 1
     return rounds * (8 * size * size + 32 * size + 256)
 
@@ -75,19 +64,6 @@ def check_rounds(inst: MissionInstance, rounds: int) -> None:
     if need > ROLLOUT_BYTES_CAP:
         raise ValueError(f"{rounds} rounds over n={inst.n_tasks} tasks need {need} bytes "
                          f"of rollout state; the cap is {ROLLOUT_BYTES_CAP}")
-
-
-def _sample_speeds(inst: MissionInstance, seeds: list[int]) -> np.ndarray:
-    """(R, L, L) speeds; row r is the scenario `sample_scenario(inst, seeds[r])`."""
-    speed = inst.speed
-    n = inst.n_tasks + 1
-    if speed.variance == 0.0:
-        return np.full((len(seeds), n, n), speed.mean)
-    speeds = np.empty((len(seeds), n, n))
-    for r, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        speeds[r] = rng.normal(speed.mean, speed.std, size=(n, n))
-    return np.maximum(speeds, speed.truncation_floor, out=speeds)
 
 
 def _fly_path(legs: Legs, path: tuple[int, ...], served: np.ndarray) -> None:
@@ -154,22 +130,6 @@ def _rewards(inst: MissionInstance, served: np.ndarray, failed: np.ndarray,
             for row, miss in zip(served.tolist(), misses)]
 
 
-def execute(
-    inst: MissionInstance,
-    allocation: AllocationResult,
-    scenario: Scenario,
-) -> RolloutOutcome:
-    """Replay every agent of `allocation` on one scenario and account globally."""
-    served, failed = _execute_rows(inst, allocation, scenario.speeds[None])
-    unassigned = list(allocation.unassigned)
-    return RolloutOutcome(
-        reward=_rewards(inst, served, failed, len(unassigned))[0],
-        served=np.flatnonzero(served[0]).tolist(),
-        failed=np.flatnonzero(failed[0]).tolist(),
-        unassigned=unassigned,
-    )
-
-
 def validate(
     inst: MissionInstance,
     allocations: dict[str, AllocationResult],
@@ -178,17 +138,19 @@ def validate(
 ) -> dict[str, RolloutReport]:
     """Roll every method over the same scenario list and summarize.
 
-    Scenario r is sampled from (seed, r), so reports are deterministic and the
-    comparison across methods is paired. Each method's agents run over all
-    scenarios at once; memory is at most `rollout_bytes`: R*L^2*8 bytes for the
-    (R, L, L) speeds, with L = n + 1 locations, plus O(R*n) for the served and
-    failed arrays and the per-row state (2.3 MB of speeds at R = 1000, n = 16).
+    Scenario r is drawn by `SpeedModel.sample` from the r-th seed of a stream
+    seeded by `seed`, so reports are deterministic and the comparison across
+    methods is paired. Each method's agents run over all scenarios at once;
+    memory is at most `rollout_bytes`: R*L^2*8 bytes for the (R, L, L) speeds,
+    with L = n + 1 locations, plus O(R*n) for the served and failed arrays and
+    the per-row state (2.3 MB of speeds at R = 1000, n = 16).
     A scenario list over ROLLOUT_BYTES_CAP is refused before it is sampled.
     """
     check_rounds(inst, rounds)
     scenario_rng = np.random.default_rng((seed, 20240831))
     scenario_seeds = [int(s) for s in scenario_rng.integers(0, 2**63 - 1, size=rounds)]
-    speeds = _sample_speeds(inst, scenario_seeds)
+    n = inst.n_tasks + 1
+    speeds = inst.speed.sample(scenario_seeds, (n, n))
     reports: dict[str, RolloutReport] = {}
     for method, allocation in allocations.items():
         served, failed = _execute_rows(inst, allocation, speeds)

@@ -51,16 +51,23 @@ def build_quadrature(speed: SpeedModel, node_count: int) -> QuadratureRule:
 
     Nodes are mapped through N(mean, variance), censored at the truncation
     floor, and the weights renormalized to sum to one exactly. Zero variance
-    collapses to the one exact node at the mean, whatever `node_count` is.
+    collapses to the one exact node at the mean, whatever `node_count` is. A
+    rule with a non-finite node or weight, or without a positive finite weight
+    sum (numpy's weights overflow at a few hundred nodes), is refused.
     """
     if speed.variance == 0.0:
         return QuadratureRule((speed.mean,), (1.0,))
     if node_count < 1:
         raise ValueError(f"node_count must be >= 1, got {node_count}")
-    x, w = np.polynomial.hermite.hermgauss(node_count)
+    with np.errstate(all="ignore"):
+        x, w = np.polynomial.hermite.hermgauss(node_count)
+        total = w.sum()  # not finite when any weight is not
+    if not (np.isfinite(x).all() and 0.0 < total < math.inf):
+        raise ValueError(f"node_count {node_count} gives a Gauss-Hermite rule with "
+                         f"non-finite nodes, weights or weight sum")
     speeds = speed.mean + math.sqrt(2.0) * speed.std * x
     speeds = np.maximum(speeds, speed.truncation_floor)
-    w = w / w.sum()
+    w = w / total
     return QuadratureRule(tuple(float(v) for v in speeds), tuple(float(v) for v in w))
 
 
@@ -160,7 +167,6 @@ class ValueTable:
     """
 
     task_ids: tuple[int, ...]  # sorted global ids; local index = position
-    horizon: float
     grid_step: float
     quad: QuadratureRule
     values: np.ndarray  # (2^k, k+1, T+2); last time slot is the beyond-horizon 0
@@ -358,7 +364,6 @@ def solve_value(
     policy[0] = 2 * k
     table = ValueTable(
         task_ids=task_ids,
-        horizon=inst.horizon,
         grid_step=delta,
         quad=quad,
         values=values,

@@ -7,7 +7,9 @@ ceiling of (service start + duration) / step. `scalar_value_tables` is the
 per-state table solver kept as a bit-exact reference for the layer pass, and
 `validate_per_scenario` is the one-scenario-at-a-time rollout loop, with its
 own policy read and decoding, kept as a bit-exact reference for the lockstep
-rollouts. `cbba_insertion_bid` scores each insertion position once at mean
+rollouts; `scenario_per_seed` and `scenario_batch_reference` are the two
+speed draws the rollouts and the robust baseline wrote out before they shared
+`SpeedModel.sample`. `cbba_insertion_bid` scores each insertion position once at mean
 speed, with no scenario list, as a reference for `baselines.insertion_bid` over
 the one mean-speed scenario. `route_reward_per_scenario` is the scalar
 clairvoyant route reward on one scenario, and `classify_per_assignment` the
@@ -230,6 +232,17 @@ def scenario_per_seed(inst, seed):
         return Scenario(np.full((n, n), speed.mean))
     draws = rng.normal(speed.mean, speed.std, size=(n, n))
     return Scenario(np.maximum(draws, speed.truncation_floor))
+
+
+def scenario_batch_reference(inst, seed, call_index, count):
+    """(count, L, L) speeds of robust batch `call_index`, as the baseline drew it:
+    mean + std * one generator's standard normals, floored. At zero variance
+    this is the mean everywhere, with no branch."""
+    speed = inst.speed
+    size = inst.n_tasks + 1
+    rng = np.random.default_rng((seed, call_index))
+    draws = speed.mean + speed.std * rng.standard_normal((count, size, size))
+    return np.maximum(draws, speed.truncation_floor)
 
 
 def next_action_per_state(table, state):

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from mdpauction import baselines
 from mdpauction.baselines import (
     EvalCounter,
     RobustConfig,
@@ -22,7 +24,7 @@ from mdpauction.instance import (
 )
 from mdpauction.valuedp import Scenario, mean_scenario
 from mdpauction.auction import run_auction
-from oracles import cbba_insertion_bid
+from oracles import cbba_insertion_bid, scenario_batch_reference
 
 
 def make_task(i, x, y=0.0, ready=0.0, due=480.0, tau=10.0, windowed=True):
@@ -251,6 +253,57 @@ def test_scenario_batch_deterministic_and_floored():
     assert all((x.speeds >= 0.1).all() for x in a)
     c = _sample_scenarios(inst, cfg, 4)
     assert not all((x.speeds == y.speeds).all() for x, y in zip(a, c))
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.05, 0.1, 0.5])
+def test_scenario_batch_bit_identical_to_reference(sigma):
+    inst = generate_instance(
+        GenerationConfig(n_tasks=4, n_agents=2, sigma_v_sq=sigma, seed=6)
+    )
+    for seed, call, count in [(0, 0, 1), (5, 1, 7), (11, 3, 100), (2**40, 17, 33)]:
+        got = _sample_scenarios(inst, RobustConfig(sample_count=count, seed=seed), call)
+        want = scenario_batch_reference(inst, seed, call, count)
+        assert len(got) == count
+        assert np.stack([sc.speeds for sc in got]).tobytes() == want.tobytes()
+
+
+def test_scenario_batch_memory_within_rollout_bytes():
+    # the batch's speeds plus one Scenario view per row fit the rollout budget
+    from mdpauction.rollout import rollout_bytes
+
+    for n, count in [(1, 5000), (6, 3000), (12, 1000)]:
+        inst = generate_instance(
+            GenerationConfig(n_tasks=n, n_agents=1, sigma_v_sq=0.1, seed=n)
+        )
+        tracemalloc.start()
+        try:
+            batch = _sample_scenarios(inst, RobustConfig(sample_count=count), 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(batch) == count
+        assert peak <= rollout_bytes(n, count), (n, peak)
+
+
+def test_oversized_scenario_batch_is_refused_before_sampling(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no batch may be sampled")
+
+    monkeypatch.setattr(baselines, "_sample_scenarios", refuse)
+    inst = generate_instance(
+        GenerationConfig(n_tasks=12, n_agents=3, sigma_v_sq=0.1, seed=4)
+    )
+    cfg = RobustConfig(sample_count=10**8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^sample_count 100000000 over n_tasks=12 needs"):
+            run_cbba(inst, variant="robust", robust_cfg=cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    # the deterministic variant draws no batch, so the same config is harmless
+    assert run_cbba(inst, robust_cfg=cfg).method == "cbba"
 
 
 # --- run_cbba ----------------------------------------------------------------------

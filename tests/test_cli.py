@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from mdpauction import harness
+from mdpauction import baselines, harness
 from mdpauction.cli import main
 from mdpauction.instance import (
     GenerationConfig,
@@ -168,6 +168,15 @@ def test_solve_rejects_zero_quadrature_nodes(instance_file, capsys):
 
 
 @pytest.mark.parametrize("command", ["solve", "validate"])
+def test_non_finite_quadrature_rule_is_rejected(instance_file, capsys, command):
+    # numpy's Gauss-Hermite weights are NaN at 600 nodes: refused, not solved
+    code, out, err = run_cli([command, instance_file, "--quadrature", "600"], capsys)
+    assert code == 1 and out == ""
+    assert err == ("error: node_count 600 gives a Gauss-Hermite rule with non-finite "
+                   "nodes, weights or weight sum\n")
+
+
+@pytest.mark.parametrize("command", ["solve", "validate"])
 def test_non_finite_instance_field_is_rejected(instance_file, capsys, command):
     with open(instance_file) as fh:
         doc = json.load(fh)
@@ -285,6 +294,24 @@ def test_oversized_rollout_is_refused_before_allocating(monkeypatch, capsys):
     assert (code, out) == (1, "")
     assert err.startswith("error: 100000000 rounds over n=12 tasks need")
     assert peak < 1 << 20, peak
+
+
+def test_oversized_robust_batch_is_refused_before_sampling(instance_file, monkeypatch,
+                                                           capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no batch may be sampled")
+
+    monkeypatch.setattr(baselines, "_sample_scenarios", refuse)
+    # validate refuses before any method allocates, the auction included
+    monkeypatch.setattr(harness, "run_auction", refuse)
+    for command in (["solve", instance_file, "--method", "robust-cbba"],
+                    ["validate", instance_file]):
+        (code, out, err), peak = _peak_bytes(
+            lambda: run_cli(command + ["--samples", "100000000"], capsys))
+        assert (code, out) == (1, ""), command
+        assert err.startswith("error: sample_count 100000000 over n_tasks=4 needs")
+        assert err.count("\n") == 1
+        assert peak < 1 << 20, (command, peak)
 
 
 # --- bench -------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from mdpauction.instance import (
     generate_instance,
 )
 from mdpauction.valuedp import ValueSolver
-from mdpauction import harness
+from mdpauction import baselines, harness
 from oracles import assignment_scenarios, classify_per_assignment, route_reward_per_scenario
 
 
@@ -337,6 +337,21 @@ def test_sweep_records_repeated_methods_as_errors():
     for error in result.errors:
         assert error["error"].startswith("ValueError: method 'cbba' is repeated")
         assert "--methods" not in error["error"]  # the sweep has no such flag
+
+
+def test_sweep_records_oversized_robust_batches_as_errors(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no batch may be sampled")
+
+    monkeypatch.setattr(baselines, "_sample_scenarios", refuse)
+    cfg = dataclasses.replace(small_config(), methods=("robust-cbba",),
+                              robust_samples=10**7)
+    result = run_experiment(cfg)
+    assert result.rows == []
+    assert len(result.errors) == 4  # one per mission
+    for error in result.errors:
+        assert error["error"].startswith(
+            "ValueError: sample_count 10000000 over n_tasks=2 needs")
 
 
 def test_run_mission_without_rollouts_leaves_rollout_cells_empty():

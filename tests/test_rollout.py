@@ -18,14 +18,7 @@ from mdpauction.instance import (
     generate_instance,
 )
 from mdpauction import valuedp
-from mdpauction.rollout import (
-    _execute_rows,
-    _rewards,
-    _sample_speeds,
-    execute,
-    sample_scenario,
-    validate,
-)
+from mdpauction.rollout import _execute_rows, _rewards, validate
 from mdpauction.valuedp import SUBSET_CAP, ValueSolver, solve_value
 
 from oracles import (
@@ -67,21 +60,27 @@ def manual_result(inst, assignment, unassigned, method="cbba", solver=None):
 # --- scenario sampling --------------------------------------------------------------
 
 
-def test_scenario_zero_variance_is_mean_everywhere():
+def test_scenario_zero_variance_is_mean_everywhere(monkeypatch):
     inst = make_instance([make_task(0, 10.0), make_task(1, 20.0)], [(0.0, 0.0)])
-    sc = sample_scenario(inst, 99)
-    assert (sc.speeds == 1.0).all()
-    assert sc.speeds.shape == (3, 3)
+
+    def refuse(seed):
+        raise AssertionError("zero variance creates no generator")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    speeds = inst.speed.sample([99, 100], (3, 3))
+    assert speeds.shape == (2, 3, 3)
+    assert (speeds == 1.0).all()
 
 
 def test_scenario_seed_determinism():
     inst = generate_instance(
         GenerationConfig(n_tasks=3, n_agents=1, sigma_v_sq=0.1, seed=1)
     )
-    assert (sample_scenario(inst, 7).speeds == sample_scenario(inst, 7).speeds).all()
-    assert not (
-        sample_scenario(inst, 7).speeds == sample_scenario(inst, 8).speeds
-    ).all()
+    a, b, c = inst.speed.sample([7, 7, 8], (4, 4))
+    assert (a == b).all()
+    assert not (a == c).all()
+    # a row depends on its own seed only, not on the rows drawn before it
+    assert (inst.speed.sample([8], (4, 4))[0] == c).all()
 
 
 def test_scenario_floor_applied():
@@ -89,12 +88,9 @@ def test_scenario_floor_applied():
         GenerationConfig(n_tasks=3, n_agents=1, sigma_v_sq=0.5, seed=2)
     )
     floor = inst.agents[0].speed.truncation_floor
-    lows = 0
-    for s in range(200):
-        sp = sample_scenario(inst, s).speeds
-        assert (sp >= floor).all()
-        lows += int((sp == floor).sum())
-    assert lows > 0  # at this variance the floor must actually bind sometimes
+    speeds = inst.speed.sample(range(200), (4, 4))
+    assert (speeds >= floor).all()
+    assert (speeds == floor).any()  # at this variance the floor must actually bind
 
 
 def test_scenario_arcs_uncorrelated():
@@ -102,27 +98,30 @@ def test_scenario_arcs_uncorrelated():
     inst = generate_instance(
         GenerationConfig(n_tasks=1, n_agents=1, sigma_v_sq=0.1, seed=0)
     )
-    n = 100_000
-    a = np.empty(n)
-    b = np.empty(n)
-    for i in range(n):
-        sc = sample_scenario(inst, i)
-        a[i] = sc.speed(0, 1)
-        b[i] = sc.speed(1, 0)
-    assert abs(np.corrcoef(a, b)[0, 1]) < 0.02
+    speeds = inst.speed.sample(range(100_000), (2, 2))
+    assert abs(np.corrcoef(speeds[:, 0, 1], speeds[:, 1, 0])[0, 1]) < 0.02
 
 
-# --- execute ------------------------------------------------------------------------
+# --- one scenario row ------------------------------------------------------------------
+
+
+def execute_one(inst, result, seed=0):
+    """(reward, served ids, failed ids) of `result` on the one scenario drawn from seed."""
+    size = inst.n_tasks + 1
+    speeds = inst.speed.sample([seed], (size, size))
+    served, failed = _execute_rows(inst, result, speeds)
+    reward = _rewards(inst, served, failed, len(result.unassigned))[0]
+    return reward, np.flatnonzero(served[0]).tolist(), np.flatnonzero(failed[0]).tolist()
 
 
 def test_execute_all_unassigned_pays_full_penalty():
     tasks = [make_task(i, 10.0 * (i + 1)) for i in range(3)]
     inst = make_instance(tasks, [(0.0, 0.0)])
     result = manual_result(inst, {0: []}, [0, 1, 2])
-    outcome = execute(inst, result, sample_scenario(inst, 0))
-    assert outcome.reward == -3.0
-    assert outcome.served == []
-    assert outcome.unassigned == [0, 1, 2]
+    reward, served, failed = execute_one(inst, result)
+    assert reward == -3.0
+    assert served == [] and failed == []
+    assert result.unassigned == [0, 1, 2]
 
 
 def test_execute_counts_failures_against_reward():
@@ -131,10 +130,7 @@ def test_execute_counts_failures_against_reward():
     stale = make_task(1, 300.0, due=100.0)
     inst = make_instance([good, stale], [(0.0, 0.0)])
     result = manual_result(inst, {0: [0, 1]}, [])
-    outcome = execute(inst, result, sample_scenario(inst, 0))
-    assert outcome.served == [0]
-    assert outcome.failed == [1]
-    assert outcome.reward == 0.0
+    assert execute_one(inst, result) == (0.0, [0], [1])
 
 
 def test_execute_mixed_accounting():
@@ -147,10 +143,7 @@ def test_execute_mixed_accounting():
     ]
     inst = make_instance(tasks, [(0.0, 0.0)])
     result = manual_result(inst, {0: [0, 1, 2]}, [3])
-    outcome = execute(inst, result, sample_scenario(inst, 0))
-    assert outcome.served == [0, 1]
-    assert outcome.failed == [2]
-    assert outcome.reward == 0.0
+    assert execute_one(inst, result) == (0.0, [0, 1], [2])
 
 
 def test_mdp_policy_skips_expired_tasks():
@@ -161,10 +154,7 @@ def test_mdp_policy_skips_expired_tasks():
     inst = make_instance([good, stale], [(0.0, 0.0)])
     solver = ValueSolver(inst, quadrature_nodes=1)
     result = manual_result(inst, {0: [1, 0]}, [], method="auction", solver=solver)
-    outcome = execute(inst, result, sample_scenario(inst, 0))
-    assert outcome.served == [0]
-    assert outcome.failed == [1]
-    assert outcome.reward == 0.0
+    assert execute_one(inst, result) == (0.0, [0], [1])
 
 
 def test_arrival_exactly_at_due_time_is_served():
@@ -174,9 +164,7 @@ def test_arrival_exactly_at_due_time_is_served():
     fixed = manual_result(inst, {0: [0]}, [])
     adaptive = manual_result(inst, {0: [0]}, [], method="auction", solver=solver)
     for result in (fixed, adaptive):
-        outcome = execute(inst, result, sample_scenario(inst, 0))
-        assert outcome.served == [0]
-        assert outcome.reward == 1.0
+        assert execute_one(inst, result) == (1.0, [0], [])
 
 
 def test_allocation_without_solver_flies_its_paths():
@@ -187,10 +175,7 @@ def test_allocation_without_solver_flies_its_paths():
     inst = make_instance([good, stale], [(0.0, 0.0)])
     for method in ("cbba", "auction"):
         result = manual_result(inst, {0: [1, 0]}, [], method=method)
-        outcome = execute(inst, result, sample_scenario(inst, 0))
-        assert outcome.served == []
-        assert outcome.failed == [0, 1]
-        assert outcome.reward == -2.0
+        assert execute_one(inst, result) == (-2.0, [], [0, 1])
 
 
 # --- validate ----------------------------------------------------------------------
@@ -281,10 +266,13 @@ def test_adaptive_policy_dominates_frozen_path():
         solver = ValueSolver(inst, quadrature_nodes=4)
         adaptive = run_auction(inst, solver=solver)
         frozen = dataclasses.replace(adaptive, solver=None)
-        for r in range(100):
-            sc = sample_scenario(inst, 777_000 + seed * 1000 + r)
-            total += execute(inst, adaptive, sc).reward - execute(inst, frozen, sc).reward
-            count += 1
+        size = inst.n_tasks + 1
+        speeds = inst.speed.sample(range(777_000 + seed * 1000, 777_100 + seed * 1000),
+                                   (size, size))
+        for result, sign in ((adaptive, 1.0), (frozen, -1.0)):
+            rewards = _rewards(inst, *_execute_rows(inst, result, speeds), len(result.unassigned))
+            total += sign * math.fsum(rewards)
+        count += speeds.shape[0]
     assert count == 1000
     assert total / count > 0.5
 
@@ -304,7 +292,8 @@ def assert_rows_match_oracle(inst, allocations, rounds, seed, stops=None):
     for method in allocations:
         assert hex_row(got[method]) == hex_row(want[method]), method
     seeds = scenario_seeds(seed, rounds)
-    speeds = _sample_speeds(inst, seeds)
+    size = inst.n_tasks + 1
+    speeds = inst.speed.sample(seeds, (size, size))
     for r, s in enumerate(seeds):
         assert speeds[r].tobytes() == scenario_per_seed(inst, s).speeds.tobytes()
     for method, allocation in allocations.items():

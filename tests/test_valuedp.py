@@ -95,6 +95,19 @@ def test_quadrature_rejects_bad_count():
         build_quadrature(SpeedModel(1.0, 0.1, 0.1), 0)
 
 
+def test_quadrature_rejects_non_finite_rule(monkeypatch):
+    # numpy's Gauss-Hermite weights overflow to NaN at 600 nodes; a NaN weight
+    # would drop every serve from the table instead of failing
+    model = SpeedModel(1.0, 0.1, 0.1)
+    with pytest.raises(ValueError, match="^node_count 600 gives a Gauss-Hermite rule"):
+        build_quadrature(model, 600)
+    # finite weights with no positive sum are refused too
+    monkeypatch.setattr(np.polynomial.hermite, "hermgauss",
+                        lambda n: (np.zeros(n), np.zeros(n)))
+    with pytest.raises(ValueError, match="^node_count 3 gives a Gauss-Hermite rule"):
+        build_quadrature(model, 3)
+
+
 def test_quadrature_against_monte_carlo():
     # Monte Carlo reference for E[1/V] under the clamped normal speed.
     model = SpeedModel(1.0, 0.1, 0.1)
