@@ -26,12 +26,7 @@ from .auction import AllocationResult, NetworkModel, run_auction
 from .baselines import RobustConfig, check_batch, run_cbba
 from .instance import GenerationConfig, MissionInstance, generate_instance
 from .rollout import check_rounds, validate
-from .valuedp import (
-    SUBSET_CAP,
-    ValueSolver,
-    build_quadrature,
-    deterministic_route_reward,
-)
+from .valuedp import ValueSolver, build_quadrature, deterministic_route_reward
 
 SUBMODULARITY_TOLERANCE = 1e-9
 SCREEN_BYTES_CAP = 1 << 26  # bytes of scenario speeds `classify_r_submodular` may hold
@@ -265,17 +260,14 @@ def run_method(
     """Allocate `inst` with one of METHODS.
 
     Returns (allocation, setup_s, coordination_s); the CBBA variants read
-    `robust_cfg`. Within SUBSET_CAP the auction's full-task-set tables are
-    built, through the largest capacity at each start, before coordination
-    starts and timed as setup; beyond it tables are solved per queried set, so
-    setup is 0.
+    `robust_cfg`. The auction's setup builds each start's empty-bundle table
+    before coordination starts (see `ValueSolver.table`) and is timed apart.
     """
     if method == "auction":
         solver = ValueSolver(inst, quadrature_nodes=quadrature_nodes, grid_step=grid_step)
         t0 = time.perf_counter()
-        if inst.n_tasks <= SUBSET_CAP:
-            for agent in inst.agents:
-                solver.table(agent)
+        for agent in inst.agents:
+            solver.table(agent)
         t1 = time.perf_counter()
         allocation = run_auction(
             inst, network=network, solver=solver, wrapping=wrapping, max_rounds=max_rounds

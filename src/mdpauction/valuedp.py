@@ -37,10 +37,31 @@ SERVE, SKIP, FINISH = "serve", "skip", "finish"
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Speed nodes and probability weights; weights sum to 1."""
+    """Speed nodes and probability weights; weights sum to 1.
+
+    A rule the DP cannot honour is refused: it needs at least one node, one
+    weight per speed, finite speeds above 0 (a leg takes a positive, finite
+    time), finite weights at or above 0 (see `_solve_cells`) and a weight sum
+    within 1e-9 of 1.
+    """
 
     speeds: tuple[float, ...]
     weights: tuple[float, ...]
+
+    def __post_init__(self):
+        if len(self.speeds) == 0 or len(self.weights) != len(self.speeds):
+            raise ValueError(f"a quadrature rule needs one weight per speed and at least "
+                             f"one node, got {len(self.speeds)} speeds and "
+                             f"{len(self.weights)} weights")
+        for v in self.speeds:
+            if not (math.isfinite(v) and v > 0.0):
+                raise ValueError(f"quadrature speed {v} is not finite and > 0")
+        for w in self.weights:
+            if not (math.isfinite(w) and w >= 0.0):
+                raise ValueError(f"quadrature weight {w} is not finite and >= 0")
+        total = math.fsum(self.weights)
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"quadrature weights sum to {total}, not 1")
 
     def __len__(self) -> int:
         return len(self.speeds)
@@ -154,14 +175,13 @@ class ValueTable:
     It depends on the agent only through its start and speed model, so agents
     that share both can share the table.
 
-    `solved` counts the popcount layers of remaining-sets solved so far; masks
-    holding more tasks are unsolved. A table solved through its full set by
-    `solve_value` holds every cell; one solved below it (`solve_value`'s
-    `layers`) also leaves every cell no reader can reach unsolved in the
-    layers it did solve (see `solve_value`). An unsolved cell holds NaN in
-    `values` and UNSOLVED in `policy`, so it never passes as a zero: `lookup`
-    raises on an UNSOLVED code and `value_of` on a NaN. `extend` solves more
-    layers in place. Layer 0 (nothing left: value 0, Finish) and the
+    `solved` counts the popcount layers of remaining-sets `solve_value`
+    solved; masks holding more tasks are unsolved. A table solved through its
+    full set holds every cell; one solved below it (`solve_value`'s `layers`)
+    also leaves every cell no reader can reach unsolved in the layers it did
+    solve. An unsolved cell holds NaN in `values` and UNSOLVED in `policy`, so
+    it never passes as a zero: `lookup` raises on an UNSOLVED code and
+    `value_of` on a NaN. Layer 0 (nothing left: value 0, Finish) and the
     beyond-horizon time slot are always filled. `computed` counts the cells
     the layer passes solved.
     """
@@ -173,8 +193,8 @@ class ValueTable:
     policy: np.ndarray  # (2^k, k+1, T+1) int16 coded actions
     origin: Location
     tasks: tuple  # Task objects aligned with task_ids
-    solved: int = 0
-    computed: int = 0
+    solved: int
+    computed: int
     _local: dict[int, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -224,32 +244,6 @@ class ValueTable:
             raise ValueError("lookup reads an unsolved value-table cell")
         return code < 2 * k, code < k, np.where(code < k, code, code - k)
 
-    def extend(self, layers: int) -> int:
-        """Solve the popcount layers above `solved` through `layers`, in place.
-
-        Exact, because a layer reads only the layers below it. Only a table
-        solved below its full set has layers to add, so the new layers hold
-        only its readable cells, as its lower layers do. Returns the cells
-        computed.
-        """
-        layers = min(layers, len(self.task_ids))
-        if layers <= self.solved:
-            return 0
-        locations = [self.origin] + [t.location for t in self.tasks]
-        transitions = _serve_transitions(self.tasks, locations, self.quad, self.grid_step,
-                                         self.time_bins - 1)
-        return self._solve_through(layers, transitions,
-                                   _first_bins(self.tasks, self.grid_step))
-
-    def _solve_through(self, layers: int, transitions, first_bin: list[int] | None) -> int:
-        """Solve layers solved+1..layers on the serve `transitions`; returns the
-        cells computed (see `_solve_layers` for `first_bin`)."""
-        cells = _solve_layers(self.values, self.policy, range(self.solved + 1, layers + 1),
-                              *transitions, np.asarray(self.quad.weights), first_bin)
-        self.solved = layers
-        self.computed += cells
-        return cells
-
 
 def table_bytes(k: int, n_bins: int, nodes: int) -> int:
     """Bytes of a k-task table over `n_bins` time bins plus its solve's scratch.
@@ -280,7 +274,7 @@ def solve_value(
     more). Each cell repeats the per-state recursion's arithmetic: a Serve
     value accumulates `acc += w[q] * (child + collected)` node by node, and the
     action is the first maximum over Serve by task id, Skip by task id, then
-    Finish. With the nonnegative weights of any rule `build_quadrature` makes,
+    Finish. With the finite, nonnegative weights every `QuadratureRule` holds,
     values and policy codes are bit-identical to a per-state loop on every
     cell the pass solves.
 
@@ -288,7 +282,7 @@ def solve_value(
     is stored, reachable from the start or not. A smaller `layers` solves
     layers 1..layers and, within them, only the cells a reader can reach from
     the start at time 0 holding at most `layers` tasks; the rest stay unsolved
-    (see `ValueTable`), and `ValueTable.extend` adds layers later. The
+    (see `ValueTable`). A reader needing more layers needs a new solve. The
     readable cells are:
     - the start (location 0) at bin 0 only: an agent stands there only at
       time 0, and a skip does not move the clock;
@@ -362,7 +356,9 @@ def solve_value(
         policy.fill(UNSOLVED)
     values[0] = values[:, :, n_bins] = 0.0
     policy[0] = 2 * k
-    table = ValueTable(
+    cells = _solve_layers(values, policy, layers, *transitions, np.asarray(quad.weights),
+                          None if layers == k else _first_bins(tasks, delta))
+    return ValueTable(
         task_ids=task_ids,
         grid_step=delta,
         quad=quad,
@@ -370,10 +366,9 @@ def solve_value(
         policy=policy,
         origin=agent.start,
         tasks=tuple(tasks),
+        solved=layers,
+        computed=cells,
     )
-    table._solve_through(layers, transitions,
-                         None if layers == k else _first_bins(tasks, delta))
-    return table
 
 
 def _first_bins(tasks, delta) -> list[int]:
@@ -406,8 +401,8 @@ def _serve_transitions(tasks, locations, quad, delta, T):
     return child_bin, collected
 
 
-def _solve_layers(values, policy, sizes, child_bin, collected, weights, first_bin) -> int:
-    """Solve the popcount layers `sizes`, lowest first; returns the cells computed.
+def _solve_layers(values, policy, top, child_bin, collected, weights, first_bin) -> int:
+    """Solve the popcount layers 1..`top`, lowest first; returns the cells computed.
 
     With `first_bin` None each layer is one dense pass over every (location,
     bin) cell. Otherwise each layer runs one pass per location: the start at
@@ -423,7 +418,7 @@ def _solve_layers(values, policy, sizes, child_bin, collected, weights, first_bi
         passes = [(None, slice(0, 1), slice(0, 1))] + [
             (b, slice(1 + b, 2 + b), slice(lb, n_bins)) for b, lb in enumerate(first_bin)]
     cells = 0
-    for size in sizes:
+    for size in range(1, top + 1):
         layer = masks[popcount == size]
         for b, locs, bins in passes:
             at = layer if b is None else layer[((layer >> b) & 1) == 0]
@@ -439,7 +434,11 @@ def _solve_layers(values, policy, sizes, child_bin, collected, weights, first_bi
 
 
 def _solve_cells(values, policy, masks, locs, bins, child_bin, collected, weights) -> None:
-    """Fill `values` and `policy` at (masks, locs, bins), whose children are all solved."""
+    """Fill `values` and `policy` at (masks, locs, bins), whose children are all solved.
+
+    A NaN candidate never wins the strict `>`, so it would be dropped without
+    an error: every input (weights, prices, children) must be finite.
+    """
     k, nq = child_bin.shape[:2]
     child_bin, collected = child_bin[:, :, locs, bins], collected[:, :, locs, bins]
     best = np.full((masks.size,) + child_bin.shape[2:], -np.inf)
@@ -560,13 +559,13 @@ def action_value(table: ValueTable, state: AgentState, action: Action) -> float:
 class SolverStats:
     """A `ValueSolver`'s deterministic work counters.
 
-    `cells_computed` counts the cells the layer passes solved (not the cells
-    allocated), across builds and extensions.
+    `tables_built` counts `solve_value` calls, re-solves included;
+    `cells_computed` counts the cells their layer passes solved (not the cells
+    allocated).
     """
 
     tables_built: int = 0
     cache_hits: int = 0
-    layers_extended: int = 0
     cells_computed: int = 0
 
 
@@ -580,9 +579,10 @@ class ValueSolver:
     that differ only in id or capacity share one solve. No agent's bundle
     outgrows its capacity, so a table is solved only through the largest
     capacity among the agents that share its start, and only on the cells they
-    can read (`solve_value`'s `layers`); a query for a larger set extends it in
-    place. `evaluations` counts marginals per agent, which is the score
-    accounting the coordination layer reports; `stats` counts the solver's work.
+    can read (`solve_value`'s `layers`); a query for a larger set re-solves the
+    table through its full set. `evaluations` counts marginals per agent,
+    which is the score accounting the coordination layer reports; `stats`
+    counts the solver's work.
     """
 
     def __init__(
@@ -607,43 +607,43 @@ class ValueSolver:
     def total_evaluations(self) -> int:
         return sum(self.evaluations.values())
 
-    def table(self, agent: AgentSpec, allocated: Iterable[int] | None = None) -> ValueTable:
+    def table(self, agent: AgentSpec, allocated: Iterable[int] = ()) -> ValueTable:
         """A table covering `allocated`, solved at least through its size.
 
         The ground set is the full task set when it fits the cap, else
-        `allocated`. With `allocated` omitted: the table over the full task
-        set, solved as far as the start's layer bound.
+        `allocated`. The cached table serves when it is solved far enough;
+        otherwise `solve_value` solves one, through the start's layer bound
+        when `allocated` fits within it and through the full ground set when
+        not. It replaces the cached table, which is dropped before the solve so
+        that the solver never holds two tables for one key.
         """
-        if allocated is None:
-            allocated, needed = range(self.instance.n_tasks), 0
-        else:
-            allocated = set(int(j) for j in allocated)
-            needed = len(allocated)
+        allocated = set(int(j) for j in allocated)
         if self.instance.n_tasks <= SUBSET_CAP:
             ground = tuple(range(self.instance.n_tasks))
         else:
             ground = tuple(sorted(allocated))
         key = (agent.start, ground)
+        # ids outside the ground set are refused by the table's readers; they
+        # must not make a dense table look short of layers
+        needed = min(len(allocated), len(ground))
         tab = self._tables.get(key)
-        stats = self.stats
-        if tab is None:
-            tab = solve_value(
-                self.instance,
-                agent,
-                ground,
-                quad=self.quad,
-                grid_step=self.grid_step,
-                layers=self._layers.get(agent.start, len(ground)),
-            )
-            self._tables[key] = tab
-            stats.tables_built += 1
-            stats.cells_computed += tab.computed
-        else:
-            stats.cache_hits += 1
-        if needed > tab.solved:
-            solved = tab.solved
-            stats.cells_computed += tab.extend(needed)
-            stats.layers_extended += tab.solved - solved
+        if tab is not None and needed <= tab.solved:
+            self.stats.cache_hits += 1
+            return tab
+        if tab is not None:
+            del self._tables[key], tab
+        bound = self._layers.get(agent.start, len(ground))
+        tab = solve_value(
+            self.instance,
+            agent,
+            ground,
+            quad=self.quad,
+            grid_step=self.grid_step,
+            layers=bound if needed <= bound else None,
+        )
+        self._tables[key] = tab
+        self.stats.tables_built += 1
+        self.stats.cells_computed += tab.computed
         return tab
 
     def set_value(self, agent: AgentSpec, task_set: Iterable[int]) -> float:

@@ -18,6 +18,7 @@ from mdpauction.instance import (
     generate_instance,
 )
 from mdpauction import valuedp
+from mdpauction.harness import check_submodularity_V
 from mdpauction.rollout import _execute_rows, _rewards, validate
 from mdpauction.valuedp import SUBSET_CAP, ValueSolver, solve_value
 
@@ -397,6 +398,36 @@ def test_validate_follows_the_tables_the_auction_planned_with(monkeypatch):
     other = validate(inst, {"auction": default}, rounds=200, seed=5)
     assert solves["tables"] > 0
     assert hex_row(other["auction"]) != hex_row(got["auction"])
+
+
+def test_solve_value_computes_every_table_cell_a_solver_counts(monkeypatch):
+    # the benchmark's tracer counts tables and cells by patching solve_value,
+    # so every table a solver holds, re-solves included, must come from it,
+    # and its cells must be counted as it returns
+    returned = []
+    solve = valuedp.solve_value
+
+    def recording(*args, **kwargs):
+        table = solve(*args, **kwargs)
+        returned.append((table, table.computed))
+        return table
+
+    monkeypatch.setattr(valuedp, "solve_value", recording)
+    inst = generate_instance(GenerationConfig(n_tasks=8, n_agents=3, sigma_v_sq=0.1, seed=81))
+    shared = ValueSolver(inst)
+    validate(inst, {"auction": run_auction(inst, solver=shared)}, rounds=200, seed=1)
+    built = len(returned)
+    # capacity 2 of 4 tasks: the check queries sets past the layer bound
+    small = generate_instance(GenerationConfig(n_tasks=4, n_agents=1, sigma_v_sq=0.1,
+                                               seed=7, capacity=2))
+    bounded = ValueSolver(small, quadrature_nodes=4)
+    check_submodularity_V(small, solver=bounded)
+    for solver, solves in ((shared, returned[:built]), (bounded, returned[built:])):
+        assert len(solves) == solver.stats.tables_built > 0
+        assert sum(cells for _, cells in solves) == solver.stats.cells_computed
+        assert all(any(held is table for table, _ in solves)
+                   for held in solver._tables.values())
+    assert bounded.stats.tables_built == 2
 
 
 @pytest.mark.parametrize("grid", [0.3, 0.7, 3.7])

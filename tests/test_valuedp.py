@@ -2,7 +2,9 @@ import dataclasses
 import itertools
 import math
 import random
+import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from mdpauction.valuedp import (
     UNSOLVED,
     Action,
     AgentState,
+    QuadratureRule,
     Scenario,
     SolverStats,
     ValueSolver,
@@ -106,6 +109,36 @@ def test_quadrature_rejects_non_finite_rule(monkeypatch):
                         lambda n: (np.zeros(n), np.zeros(n)))
     with pytest.raises(ValueError, match="^node_count 3 gives a Gauss-Hermite rule"):
         build_quadrature(model, 3)
+
+
+BAD_RULES = {
+    # each would solve silently wrong: a NaN weight never wins a comparison,
+    # so every serve drops out; a speed at or below 0 arrives before leaving
+    # or divides by zero; weights that do not sum to 1 scale every value
+    "no nodes": ((), (), "at least one node"),
+    "unequal lengths": ((1.0, 2.0), (1.0,), "one weight per speed"),
+    "nan speed": ((math.nan,), (1.0,), "speed nan"),
+    "infinite speed": ((math.inf,), (1.0,), "speed inf"),
+    "zero speed": ((0.0,), (1.0,), "speed 0.0"),
+    "negative speed": ((-1.0,), (1.0,), "speed -1.0"),
+    "nan weight": ((1.0, 2.0), (math.nan, 1.0), "weight nan"),
+    "infinite weight": ((1.0, 2.0), (math.inf, 1.0), "weight inf"),
+    "negative weight": ((1.0, 2.0), (1.5, -0.5), "weight -0.5"),
+    "weights sum to 0.5": ((1.0, 2.0), (0.25, 0.25), "sum to 0.5"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_RULES)
+def test_quadrature_rule_the_dp_cannot_honour_is_refused(name):
+    speeds, weights, message = BAD_RULES[name]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        QuadratureRule(speeds, weights)
+
+
+def test_quadrature_rule_weight_sum_tolerance():
+    QuadratureRule((1.0, 2.0), (0.5, 0.5 + 9e-10))
+    with pytest.raises(ValueError, match="sum to"):
+        QuadratureRule((1.0, 2.0), (0.5, 0.5 + 2e-9))
 
 
 def test_quadrature_against_monte_carlo():
@@ -668,15 +701,12 @@ def test_pruned_table_bit_identical_to_dense_on_solved_cells(case):
     agent = inst.agents[0]
     quad = build_quadrature(agent.speed, q)
     dense = solve_value(inst, agent, ids, quad=quad, grid_step=grid)
-    table = solve_value(inst, agent, ids, quad=quad, grid_step=grid, layers=bound)
-    assert dense.solved == k and table.solved == bound
+    assert dense.solved == k
     assert dense.computed == ((1 << k) - 1) * dense.policy[0].size
     levels = [bound] + ([rng.randint(bound + 1, k)] if bound < k else [])
     for level in levels:
-        if level > table.solved:
-            before = table.computed
-            assert table.extend(level) == table.computed - before > 0
-        solved = readable_cells(table, level) if bound < k else np.ones(dense.policy.shape, bool)
+        table = solve_value(inst, agent, ids, quad=quad, grid_step=grid, layers=level)
+        solved = readable_cells(table, level) if level < k else np.ones(dense.policy.shape, bool)
         assert table.solved == level
         assert table.computed == solved[1:].sum()
         # unsolved cells are NaN with the sentinel code, and nothing else is
@@ -745,24 +775,50 @@ def test_solver_counts_the_readable_cells_it_solves():
     assert tables[0] is tables[1] is tables[2] and tables[0].solved == 4
     readable = readable_cells(tables[0], 4)[1:].sum()
     dense = (2**8 - 1) * tables[0].policy[0].size
-    assert solver.stats == SolverStats(tables_built=1, cache_hits=2, layers_extended=0,
-                                       cells_computed=readable)
+    assert solver.stats == SolverStats(tables_built=1, cache_hits=2, cells_computed=readable)
     assert readable < dense
-    # a query for six tasks adds two layers, counted as it solves them
+    # a query for six tasks re-solves the table through all eight, counted as
+    # a second build
     solver.set_value(inst.agents[0], range(6))
-    assert solver.stats == SolverStats(tables_built=1, cache_hits=3, layers_extended=2,
-                                       cells_computed=readable_cells(tables[0], 6)[1:].sum())
+    assert solver.stats == SolverStats(tables_built=2, cache_hits=2,
+                                       cells_computed=readable + dense)
+    assert solver.table(inst.agents[0]).solved == 8
+    # a set with an unknown id is refused by the read, with no further solve
+    for _ in range(2):
+        with pytest.raises(ValueError, match="task 8 is not in this table"):
+            solver.set_value(inst.agents[0], range(9))
+    assert solver.stats.tables_built == 2
 
 
-def test_submodularity_check_extends_the_capacity_bounded_table(monkeypatch):
+def test_re_solve_drops_the_table_it_replaces(monkeypatch):
+    import mdpauction.valuedp as valuedp
+
+    inst = generate_instance(GenerationConfig(n_tasks=6, n_agents=1, sigma_v_sq=0.1,
+                                              seed=81, capacity=2))
+    agent = inst.agents[0]
+    solver = ValueSolver(inst, quadrature_nodes=4)
+    bounded = weakref.ref(solver.table(agent))
+    freed = []
+    solve = valuedp.solve_value
+
+    def probed(*args, **kwargs):
+        freed.append(bounded() is None)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(valuedp, "solve_value", probed)
+    solver.set_value(agent, range(4))
+    assert freed == [True] and solver.table(agent).solved == 6
+
+
+def test_submodularity_check_re_solves_the_capacity_bounded_table(monkeypatch):
     inst = generate_instance(GenerationConfig(n_tasks=4, n_agents=1, sigma_v_sq=0.1,
                                               seed=7, capacity=3))
     agent = inst.agents[0]
     calls = _count_solves(monkeypatch)
     solver = ValueSolver(inst, quadrature_nodes=4)
     report = check_submodularity_V(inst, solver=solver)
-    assert calls == [0]
-    assert solver.table(agent).solved == 4 and solver.stats.layers_extended == 1
+    assert calls == [0, 0]
+    assert solver.table(agent).solved == 4 and solver.stats.tables_built == 2
     dense = solve_value(inst, agent, range(4), quad=solver.quad)
     for size in range(5):
         for subset in itertools.combinations(range(4), size):

@@ -17,7 +17,10 @@ convergence and submodularity, and `run_experiment` sweeps (rows without wall
 times, plus error records): one on a ring, and one base sweep with each of
 `wrapping`, `max_rounds`, `quadrature_nodes`, `grid_step`, `topology` and
 `rollout_rounds` (0: no rollouts) changed in turn. Every command's exit code
-is included.
+is included. Last, on a generated n = 5, m = 1, sigma^2 0.1 mission with
+capacity 2, whose set values past the capacity re-solve the solver's table:
+every subset's `set_value` as a float hex, and the `check_submodularity_V` and
+`check_monotonicity_V` reports.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import os
 import sys
@@ -37,6 +41,8 @@ def collect(work: Path) -> list[tuple[str, str]]:
     """Every output as (label, text); files go to `work`, the working directory."""
     from mdpauction import cli, harness
     from mdpauction.auction import TOPOLOGIES
+    from mdpauction.instance import GenerationConfig, generate_instance
+    from mdpauction.valuedp import ValueSolver
 
     outputs = []
 
@@ -105,6 +111,16 @@ def collect(work: Path) -> list[tuple[str, str]]:
         outputs.append((f"sweep {change}",
                         harness.rows_to_csv(sweep.rows, include_wall=False)
                         + json.dumps(sweep.errors, sort_keys=True)))
+
+    bounded = generate_instance(GenerationConfig(n_tasks=5, n_agents=1, sigma_v_sq=0.1,
+                                                 seed=3, capacity=2))
+    solver = ValueSolver(bounded)
+    agent = bounded.agents[0]
+    values = [f"{subset} {solver.set_value(agent, subset).hex()}"
+              for size in range(6) for subset in itertools.combinations(range(5), size)]
+    outputs.append(("capacity-2 set values", "\n".join(values)))
+    for check in (harness.check_submodularity_V, harness.check_monotonicity_V):
+        outputs.append((check.__name__, repr(check(bounded, max_set=5))))
     return outputs
 
 
