@@ -200,11 +200,16 @@ def wrap_bid(raw: float, bundle_bids) -> float:
 def marginal_offers(
     inst: MissionInstance, agent: AgentSpec, solver: ValueSolver, state: BundleState
 ):
-    """V(bundle + j) - V(bundle) for every task j outside the bundle, at the path's end."""
+    """V(bundle + j) - V(bundle) for every task j outside the bundle, at the path's end.
+
+    The solver solves every set these offers read in one batch first
+    (`ValueSolver.prefetch`).
+    """
     base = frozenset(state.bundle)
-    for j in range(inst.n_tasks):
-        if j not in base:
-            yield j, solver.marginal_gain(agent, base, j), len(state.path)
+    outside = [j for j in range(inst.n_tasks) if j not in base]
+    solver.prefetch(agent, [base | {j} for j in outside])
+    for j in outside:
+        yield j, solver.marginal_gain(agent, base, j), len(state.path)
 
 
 def grow_bundle(state: BundleState, offers, wrapping: bool) -> bool:

@@ -261,7 +261,8 @@ def run_method(
 
     Returns (allocation, setup_s, coordination_s); the CBBA variants read
     `robust_cfg`. The auction's setup builds each start's empty-bundle table
-    before coordination starts (see `ValueSolver.table`) and is timed apart.
+    before coordination starts (see `ValueSolver.table`; beyond the subset
+    cap it only makes each start's empty row store) and is timed apart.
     """
     if method == "auction":
         solver = ValueSolver(inst, quadrature_nodes=quadrature_nodes, grid_step=grid_step)

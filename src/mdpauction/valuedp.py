@@ -20,6 +20,7 @@ never references tasks outside `remaining`.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
@@ -168,8 +169,39 @@ def mean_scenario(inst: MissionInstance) -> Scenario:
     return Scenario(np.full((n, n), inst.speed.mean))
 
 
+class _SetReader:
+    """A value function's coordinates over a task set: local task indices
+    (positions in the sorted `task_ids`), table locations (0 = the start,
+    1 + local index) and time bins of width `grid_step`."""
+
+    task_ids: tuple[int, ...]
+    grid_step: float
+    _local: dict[int, int]
+
+    def mask_of(self, remaining: Iterable[int]) -> int:
+        mask = 0
+        for j in remaining:
+            if j not in self._local:
+                raise ValueError(f"task {j} is not in this table's allocated set")
+            mask |= 1 << self._local[j]
+        return mask
+
+    def loc_of(self, at: int) -> int:
+        if at == 0:
+            return 0
+        j = at - 1
+        if j not in self._local:
+            raise ValueError(f"location index {at} is not covered by this table")
+        return 1 + self._local[j]
+
+    def bin_of(self, time: float) -> int:
+        if time < 0.0 or not math.isfinite(time):
+            raise ValueError(f"time {time} is out of range")
+        return int(math.ceil(time / self.grid_step))
+
+
 @dataclass
-class ValueTable:
+class ValueTable(_SetReader):
     """Backward-induction output over an allocated task set.
 
     It depends on the agent only through its start and speed model, so agents
@@ -204,26 +236,9 @@ class ValueTable:
     def time_bins(self) -> int:
         return self.policy.shape[2]
 
-    def mask_of(self, remaining: Iterable[int]) -> int:
-        mask = 0
-        for j in remaining:
-            if j not in self._local:
-                raise ValueError(f"task {j} is not in this table's allocated set")
-            mask |= 1 << self._local[j]
-        return mask
-
-    def loc_of(self, at: int) -> int:
-        if at == 0:
-            return 0
-        j = at - 1
-        if j not in self._local:
-            raise ValueError(f"location index {at} is not covered by this table")
-        return 1 + self._local[j]
-
-    def bin_of(self, time: float) -> int:
-        if time < 0.0 or not math.isfinite(time):
-            raise ValueError(f"time {time} is out of range")
-        return int(math.ceil(time / self.grid_step))
+    def value_at(self, mask: int, loc: int, b: int) -> float:
+        """V at (remaining mask, table location, bin b within the horizon)."""
+        return _solved(self.values[mask, loc, b])
 
     def lookup(self, mask, loc, time):
         """The stored actions at (remaining mask, table location, exact time).
@@ -265,8 +280,17 @@ def solve_value(
     quad: QuadratureRule | None = None,
     grid_step: float = 1.0,
     layers: int | None = None,
-) -> ValueTable:
+    store: RowStore | None = None,
+) -> ValueTable | RowBatch:
     """Solve the subset DP for `allocated` and return its value table.
+
+    With `store` (a `RowStore` of the agent's start, rule and grid),
+    `allocated` is instead a collection of task sets: the call adds to the
+    store every readable row of those sets it lacks (the readable cells
+    below, as rows of global masks), through the same cell kernel, so each
+    row is bit-identical to the cells of a table over any set that holds it.
+    It returns a `RowBatch` of exactly the cells it computed; `layers` is
+    unused, and `RowStore.solve` states the batch's byte bound.
 
     The backward pass handles one popcount layer of remaining-sets at a time,
     vectorised over the layer's masks and a (location, bin) selection, in
@@ -315,11 +339,13 @@ def solve_value(
     the same bound holds. A solve whose table plus this bound (`table_bytes`)
     exceeds TABLE_BYTES_CAP is refused before anything is allocated.
     """
-    if not (grid_step > 0.0 and math.isfinite(grid_step)):
-        raise ValueError(f"grid_step must be finite and > 0, got {grid_step}")
-    if not math.isfinite(inst.horizon / grid_step):
-        raise ValueError(f"grid_step {grid_step} splits horizon {inst.horizon} into "
-                         f"infinitely many time bins")
+    n_bins = _bin_count(inst.horizon, grid_step)
+    if quad is None:
+        quad = build_quadrature(agent.speed, 8)
+    if store is not None:
+        if (agent.start, quad, float(grid_step)) != (store.origin, store.quad, store.grid_step):
+            raise ValueError("the row store holds another start, quadrature rule or grid")
+        return store.solve(allocated)
     task_ids = tuple(sorted(set(int(j) for j in allocated)))
     for j in task_ids:
         if not (0 <= j < inst.n_tasks):
@@ -327,12 +353,9 @@ def solve_value(
     k = len(task_ids)
     if k > SUBSET_CAP:
         raise ValueError(f"|allocated| = {k} exceeds the subset cap {SUBSET_CAP}")
-    if quad is None:
-        quad = build_quadrature(agent.speed, 8)
 
     delta = float(grid_step)
-    T = int(math.floor(inst.horizon / delta))  # bins 0..T are within the horizon
-    n_bins = T + 1
+    T = n_bins - 1  # bins 0..T are within the horizon
     need = table_bytes(k, n_bins, len(quad))
     if need > TABLE_BYTES_CAP:
         raise ValueError(
@@ -369,6 +392,16 @@ def solve_value(
         solved=layers,
         computed=cells,
     )
+
+
+def _bin_count(horizon: float, grid_step: float) -> int:
+    """T + 1: the time bins 0..T = floor(horizon / grid_step) within the horizon."""
+    if not (grid_step > 0.0 and math.isfinite(grid_step)):
+        raise ValueError(f"grid_step must be finite and > 0, got {grid_step}")
+    if not math.isfinite(horizon / grid_step):
+        raise ValueError(f"grid_step {grid_step} splits horizon {horizon} into "
+                         f"infinitely many time bins")
+    return int(math.floor(horizon / float(grid_step))) + 1
 
 
 def _first_bins(tasks, delta) -> list[int]:
@@ -434,20 +467,44 @@ def _solve_layers(values, policy, top, child_bin, collected, weights, first_bin)
 
 
 def _solve_cells(values, policy, masks, locs, bins, child_bin, collected, weights) -> None:
-    """Fill `values` and `policy` at (masks, locs, bins), whose children are all solved.
+    """Fill `values` and `policy` at (masks, locs, bins), whose children are all solved."""
+    k = child_bin.shape[0]
+    best, code = _best_actions(
+        masks.size, [(a, np.flatnonzero(masks & (1 << a))) for a in range(k)],
+        lambda a, at: values[masks[at] ^ (1 << a), 1 + a],
+        lambda a, at: values[masks[at] ^ (1 << a), locs, bins],
+        child_bin[:, :, locs, bins], collected[:, :, locs, bins], weights, k)
+    values[masks, locs, bins] = best
+    policy[masks, locs, bins] = code
 
-    A NaN candidate never wins the strict `>`, so it would be dropped without
-    an error: every input (weights, prices, children) must be finite.
+
+def _best_actions(size, members, serve_child, skip_child, child_bin, collected, weights, k):
+    """The best value and action code of every cell of `size` remaining-sets.
+
+    The cells are the sets' cells at one selection of (location, bin) cells.
+    `members` lists (task a, positions of the sets that hold a) by increasing
+    a; `serve_child(a, at)` gives the sets at `at` without a at a's location,
+    one row of bins per set (the beyond-horizon pad last), and `skip_child(a,
+    at)` the same sets without a at the selected cells. `child_bin[a, q]` and
+    `collected[a, q]` are a serve of a's child column and price per selected
+    cell at node q. Candidates come in the order Serve by task, Skip by task,
+    Finish; codes are a, k + a and 2k. A NaN candidate never wins the strict
+    `>`, so it would be dropped without an error: every input (weights,
+    prices, children) must be finite.
     """
-    k, nq = child_bin.shape[:2]
-    child_bin, collected = child_bin[:, :, locs, bins], collected[:, :, locs, bins]
-    best = np.full((masks.size,) + child_bin.shape[2:], -np.inf)
+    nq = child_bin.shape[1]
+    best = np.full((size,) + child_bin.shape[2:], -np.inf)
     code = np.full(best.shape, 2 * k, dtype=np.int16)
     acc = np.empty_like(best)
     gain = np.empty_like(best)
 
     def offer(row, at, row_code):
         # strict > keeps the earlier candidate on ties, as argmax does
+        if at.size == size:  # every set: `at` is 0..size-1, so no gather
+            better = row > best
+            np.copyto(best, row, where=better)
+            np.copyto(code, row_code, where=better)
+            return
         held = best[at]
         better = row > held
         np.copyto(held, row, where=better)
@@ -456,11 +513,9 @@ def _solve_cells(values, policy, masks, locs, bins, child_bin, collected, weight
         np.copyto(codes, row_code, where=better)
         code[at] = codes
 
-    # members[a]: positions in `masks` of the remaining-sets that hold task a
-    members = [np.flatnonzero(masks & (1 << a)) for a in range(k)]
-    for a, at in enumerate(members):  # Serve rows
+    for a, at in members:  # Serve rows
         if at.size:
-            child = values[masks[at] ^ (1 << a), 1 + a]
+            child = serve_child(a, at)
             out, scratch = acc[: at.size], gain[: at.size]
             # bins are always in range; "clip" lets take write `out` unbuffered
             child.take(child_bin[a, 0], axis=1, out=out, mode="clip")
@@ -472,14 +527,13 @@ def _solve_cells(values, policy, masks, locs, bins, child_bin, collected, weight
                 scratch *= weights[q]
                 out += scratch
             offer(out, at, a)
-    for a, at in enumerate(members):  # Skip rows
+    for a, at in members:  # Skip rows
         if at.size:
-            offer(values[masks[at] ^ (1 << a), locs, bins], at, k + a)
+            offer(skip_child(a, at), at, k + a)
     finish = best < 0.0  # Finish (worth 0.0) comes last, so it needs strictly more
     best[finish] = 0.0
     code[finish] = 2 * k
-    values[masks, locs, bins] = best
-    policy[masks, locs, bins] = code
+    return best, code
 
 
 def _solved(value) -> float:
@@ -497,7 +551,7 @@ def value_of(table: ValueTable, state: AgentState) -> float:
     b = table.bin_of(state.time)
     if b >= table.time_bins:
         return 0.0
-    return _solved(table.values[mask, loc, b])
+    return table.value_at(mask, loc, b)
 
 
 def next_action(table: ValueTable, state: AgentState) -> Action:
@@ -556,33 +610,376 @@ def action_value(table: ValueTable, state: AgentState, action: Action) -> float:
 
 
 @dataclass
+class RowBatch:
+    """The cells one `solve_value(..., store=...)` call computed, row by row.
+
+    The rows stay in the store; `values` and `policy` are flat copies of
+    exactly the cells the call solved (no beyond-horizon pads), so `computed`
+    is their size.
+    """
+
+    values: np.ndarray
+    policy: np.ndarray
+    rows: int
+
+    @property
+    def computed(self) -> int:
+        return self.policy.size
+
+
+def _index_bytes(n: int, entries: int) -> int:
+    """A bound on the bytes of `entries` row-index entries over n tasks: a dict
+    slot, an int row and an int key (mask * (n + 1) + location) each, at most
+    160 bytes plus 4 bytes per 30 key bits while the dict grows."""
+    return entries * (160 + 4 * ((n + (n + 1).bit_length()) // 30 + 1))
+
+
+class RowStore:
+    """The value rows of one start beyond the subset cap, by global (mask, location).
+
+    A row holds V and the action code at one (remaining mask, location) on the
+    bins a reader can reach (see `solve_value`): bin 0 at the start (location
+    0), and bins lb_b..T at task b's location 1 + b, then the beyond-horizon
+    pad (value 0). The rows of location l are one pair of growable arrays.
+    `index` maps mask * (n + 1) + location to a row: a dict, so its memory
+    grows with the rows stored, whatever n is. Codes use global task ids:
+    serve j is j, skip j is n + j, Finish is 2n. `solve` adds every readable
+    row of a set in one batch, so a set's start row is stored only with all of
+    the set's rows. The first batch allocates the arrays, each with mask 0's
+    row (value 0, Finish) first, and builds the serve transitions from every
+    location to every task, once.
+    """
+
+    def __init__(self, inst: MissionInstance, origin: Location, quad: QuadratureRule,
+                 grid_step: float):
+        self.origin, self.quad = origin, quad
+        self.grid_step = float(grid_step)
+        self.tasks = tuple(inst.tasks)
+        n = len(self.tasks)
+        self.n_bins = _bin_count(inst.horizon, grid_step)
+        # lb per location; a due time past the horizon can put lb_b past T
+        self.first = [0] + [min(lb, self.n_bins)
+                            for lb in _first_bins(self.tasks, self.grid_step)]
+        self.width = [1] + [self.n_bins - lb for lb in self.first[1:]]
+        self.values = [np.zeros((0, w + 1)) for w in self.width]
+        # int16 holds every code 0..2n: the transitions' bytes alone refuse n > 9,458
+        self.policy = [np.zeros((0, w), dtype=np.int16) for w in self.width]
+        self.used = [0] * (n + 1)
+        self.index: dict[int, int] = {}
+        self.rows = 0  # rows solved (mask 0's not counted)
+        self.child_bin = self.collected = None  # per (task, node, location, bin)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held: the row arrays, the transitions and the index bound."""
+        arrays = sum(v.nbytes + p.nbytes for v, p in zip(self.values, self.policy))
+        if self.child_bin is not None:
+            arrays += self.child_bin.nbytes + self.collected.nbytes
+        return arrays + _index_bytes(len(self.tasks), len(self.index))
+
+    def mask(self, tasks: Iterable[int]) -> int:
+        """The global mask of `tasks`; an id outside the task set raises."""
+        mask = 0
+        for j in map(int, tasks):
+            if not 0 <= j < len(self.tasks):
+                raise ValueError(f"unknown task id {j}")
+            mask |= 1 << j
+        return mask
+
+    def holds(self, mask: int) -> bool:
+        """Whether every readable row of the set `mask` is stored (the empty
+        set has none to read: its value is 0)."""
+        return mask == 0 or mask * (len(self.tasks) + 1) in self.index
+
+    def _row_bytes(self, loc: int) -> int:
+        width = self.width[loc]
+        return (width + 1) * 8 + width * 2
+
+    def _need(self, rows: int, arrays: int, scratch: int) -> int:
+        """Bytes of `arrays` of row storage, an index of `rows` rows, the
+        transitions and `scratch`."""
+        n = len(self.tasks)
+        transitions = 12 * n * len(self.quad) * (n + 1) * self.n_bins  # int32, float64
+        return arrays + transitions + _index_bytes(n, rows) + scratch
+
+    def _refuse_over_cap(self, rows: int, arrays: int, scratch: int) -> None:
+        """Raise unless `_need` fits TABLE_BYTES_CAP, naming n, the bins, Q and the rows."""
+        n, nodes = len(self.tasks), len(self.quad)
+        need = self._need(rows, arrays, scratch)
+        if need > TABLE_BYTES_CAP:
+            raise ValueError(
+                f"the value rows of one start over n={n} tasks with {self.n_bins} time "
+                f"bins and Q={nodes} quadrature nodes would hold {rows} rows in {need} "
+                f"bytes; the cap is {TABLE_BYTES_CAP}")
+
+    def solve(self, sets: Iterable[Iterable[int]]) -> RowBatch:
+        """Add every readable row of `sets` the store lacks; see `solve_value`.
+
+        The new rows are the start row of each missing set T (every subset of
+        a set included) and T's row at task b's location with b served, for
+        each b in T. They are solved one popcount layer at a time, lowest
+        first, in one pass per (layer, location) in blocks of at most
+        LAYER_BLOCK_CELLS // (T + 2) masks. Scratch beyond the stored rows is
+        under 48 bytes per (block mask, bin) and the flat copy the call
+        returns, plus the planned masks (bounded like index entries). A batch
+        whose rows, index, transitions and scratch would pass TABLE_BYTES_CAP
+        is refused before it allocates: first on each set's own rows alone,
+        before any planning, then on the planned batch.
+        """
+        n = len(self.tasks)
+        stride = n + 1
+        masks = [self.mask(s) for s in sets]
+        for mask in masks:
+            k = mask.bit_count()
+            if k > SUBSET_CAP:
+                raise ValueError(f"|allocated| = {k} exceeds the subset cap {SUBSET_CAP}")
+            rows = (1 << k) - 1
+            arrays = rows * self._row_bytes(0)
+            for b in range(n):
+                if mask >> b & 1:
+                    rows += (1 << (k - 1)) - 1
+                    arrays += ((1 << (k - 1)) - 1) * self._row_bytes(1 + b)
+            self._refuse_over_cap(rows, arrays, 0)
+        groups = self._plan(masks)
+        self._reserve(groups)
+        if self.child_bin is None:
+            self.child_bin, self.collected = _serve_transitions(
+                self.tasks, [self.origin] + [t.location for t in self.tasks], self.quad,
+                self.grid_step, self.n_bins - 1)
+            # a serve of b reads b's rows from lb_b on: child bins become columns
+            self.child_bin -= np.array(self.first[1:], dtype=np.int32)[:, None, None, None]
+
+        weights = np.asarray(self.quad.weights)
+        per_block = max(1, LAYER_BLOCK_CELLS // (self.n_bins + 1))
+        start = list(self.used)
+        for size in range(1, max((s for s, _ in groups), default=0) + 1):
+            layer = []
+            for loc in range(stride):
+                group = groups.get((size, loc))
+                if group:
+                    first = self.used[loc]
+                    self.used[loc] += len(group)
+                    for lo in range(0, len(group), per_block):
+                        self._solve_rows(group[lo : lo + per_block], loc, first + lo, weights)
+                    layer.append((group, loc, first))
+            for group, loc, first in layer:  # the next layer reads these rows
+                self.index.update((mask * stride + loc, first + i)
+                                  for i, mask in enumerate(group))
+        batch = RowBatch(
+            values=np.concatenate([self.values[loc][start[loc] : self.used[loc], :w].ravel()
+                                   for loc, w in enumerate(self.width)]),
+            policy=np.concatenate([self.policy[loc][start[loc] : self.used[loc]].ravel()
+                                   for loc in range(stride)]),
+            rows=sum(self.used) - sum(start),
+        )
+        self.rows += batch.rows
+        return batch
+
+    def _plan(self, masks: list[int]) -> dict[tuple[int, int], list[int]]:
+        """The missing rows of the sets `masks` and all their subsets, as the
+        masks to solve per (popcount layer, location)."""
+        todo = set()
+        while masks:
+            mask = masks.pop()
+            if mask in todo or self.holds(mask):
+                continue
+            todo.add(mask)
+            rest = mask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                masks.append(mask ^ low)
+        groups: dict[tuple[int, int], list[int]] = {}
+        for mask in sorted(todo):
+            size = mask.bit_count()
+            groups.setdefault((size, 0), []).append(mask)
+            rest = mask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if mask != low:  # mask 0's rows are stored
+                    # low.bit_length() is 1 + b for low = 1 << b
+                    groups.setdefault((size - 1, low.bit_length()), []).append(mask ^ low)
+        return groups
+
+    def _reserve(self, groups: dict[tuple[int, int], list[int]]) -> None:
+        """Grow the arrays to take the planned rows, or refuse over the cap.
+
+        A growing array doubles, unless only its exact size fits the cap. The
+        first batch also stores mask 0's rows.
+        """
+        n = len(self.tasks)
+        fresh = not self.index
+        added = [int(fresh)] * (n + 1)
+        for (_, loc), group in groups.items():
+            added[loc] += len(group)
+        row_bytes = [self._row_bytes(loc) for loc in range(n + 1)]
+        exact = [max(len(v), used + new) for v, used, new in zip(self.values, self.used, added)]
+        doubled = [max(c, 2 * len(v)) if c > len(v) else c for c, v in zip(exact, self.values)]
+        rows = len(self.index) + sum(added)
+        scratch = (48 * max(LAYER_BLOCK_CELLS, self.n_bins + 1)
+                   + sum(a * w for a, w in zip(added, self.width)) * 10  # the returned copy
+                   + max((len(v) * b for v, c, b in zip(self.values, exact, row_bytes)
+                          if c > len(v)), default=0)  # an array and its grown copy
+                   + _index_bytes(n, 2 * sum(added)))  # the plan
+        capacity = doubled
+        if self._need(rows, sum(map(operator.mul, doubled, row_bytes)), scratch) \
+                > TABLE_BYTES_CAP:
+            capacity = exact
+        self._refuse_over_cap(rows, sum(map(operator.mul, capacity, row_bytes)), scratch)
+        for loc, size in enumerate(capacity):
+            used = self.used[loc]
+            if size > len(self.values[loc]):
+                values = np.zeros((size, self.width[loc] + 1))
+                values[:used] = self.values[loc][:used]
+                policy = np.empty((size, self.width[loc]), dtype=np.int16)
+                policy[:used] = self.policy[loc][:used]
+                self.values[loc], self.policy[loc] = values, policy
+        if fresh:  # the values are zeros already
+            for loc in range(n + 1):
+                self.policy[loc][0] = 2 * n
+                self.index[loc] = 0
+            self.used = [1] * (n + 1)
+
+    def _solve_rows(self, masks: list[int], loc: int, first: int, weights) -> None:
+        """Solve the rows of `masks` at `loc` into rows first.., children all stored."""
+        stride = len(self.tasks) + 1
+        index = self.index
+        at, serve, skip = {}, {}, {}  # per task: mask positions, child rows
+        for i, mask in enumerate(masks):
+            rest = mask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                a = low.bit_length() - 1
+                child = (mask ^ low) * stride
+                if a not in at:
+                    at[a], serve[a], skip[a] = [], [], []
+                at[a].append(i)
+                serve[a].append(index[child + 1 + a])
+                skip[a].append(index[child + loc])
+        lb, width = self.first[loc], self.width[loc]
+        best, code = _best_actions(
+            len(masks), [(a, np.array(at[a])) for a in sorted(at)],
+            lambda a, _: self.values[1 + a][serve[a]],
+            lambda a, _: self.values[loc][skip[a], :width],
+            self.child_bin[:, :, loc, lb : lb + width],
+            self.collected[:, :, loc, lb : lb + width], weights, len(self.tasks))
+        self.values[loc][first : first + len(masks), :width] = best
+        self.policy[loc][first : first + len(masks)] = code
+
+
+class RowView(_SetReader):
+    """One task set's value function in a `RowStore`, read like a `ValueTable`.
+
+    It keeps the table's reader API in the set's own coordinates (`task_ids`,
+    `mask_of`, `loc_of`, `bin_of`, `time_bins`, `lookup`, `value_at`), so
+    `value_of`, `next_action` and the rollouts read it as they read a table. A
+    read of a row or bin the store does not hold raises ValueError, as a read
+    of an unsolved table cell does.
+    """
+
+    def __init__(self, store: RowStore, task_ids: tuple[int, ...]):
+        self.store = store
+        self.task_ids = task_ids
+        self.grid_step = store.grid_step
+        self._local = {j: a for a, j in enumerate(task_ids)}
+        self._rows = self._codes = None  # built by the first lookup
+
+    @property
+    def time_bins(self) -> int:
+        return self.store.n_bins
+
+    def _place(self, loc: int) -> int:
+        """The store location of table location `loc`."""
+        return 0 if loc == 0 else 1 + self.task_ids[loc - 1]
+
+    def _key(self, mask: int, loc: int) -> int:
+        """The store index key of (local mask, table location)."""
+        glob = 0
+        for a, j in enumerate(self.task_ids):
+            if mask >> a & 1:
+                glob |= 1 << j
+        return glob * (len(self.store.tasks) + 1) + self._place(loc)
+
+    def value_at(self, mask: int, loc: int, b: int) -> float:
+        """V at (local mask, table location, bin b within the horizon)."""
+        if mask == 0:
+            return 0.0
+        place = self._place(loc)
+        row = self.store.index.get(self._key(mask, loc))
+        col = b - self.store.first[place]
+        if row is None or col < 0:
+            raise ValueError("the state reads an unsolved value-table cell")
+        return float(self.store.values[place][row, col])
+
+    def lookup(self, mask, loc, time):
+        """`ValueTable.lookup` over the store's rows; codes come back local."""
+        k = len(self.task_ids)
+        store = self.store
+        if self._rows is None:
+            self._rows = np.array([[store.index.get(self._key(m, loc), -1)
+                                    for loc in range(k + 1)] for m in range(1 << k)],
+                                  dtype=np.intp)
+            n = len(store.tasks)
+            self._codes = np.full(2 * n + 1, 2 * k, dtype=np.intp)
+            for a, j in enumerate(self.task_ids):
+                self._codes[j], self._codes[n + j] = a, k + a
+        mask, loc, bins = np.broadcast_arrays(
+            np.asarray(mask), np.asarray(loc), np.ceil(np.asarray(time) / self.grid_step))
+        asks = (bins < self.time_bins) & (mask != 0)
+        code = np.full(mask.shape, 2 * k, dtype=np.intp)
+        for here in range(k + 1):
+            at = asks & (loc == here)
+            if at.any():
+                place = self._place(here)
+                row = self._rows[mask[at], here]
+                col = bins[at].astype(np.intp) - store.first[place]
+                if (row < 0).any() or (col < 0).any():
+                    raise ValueError("lookup reads an unsolved value-table cell")
+                code[at] = self._codes[store.policy[place][row, col]]
+        return code < 2 * k, code < k, np.where(code < k, code, code - k)
+
+
+@dataclass
 class SolverStats:
     """A `ValueSolver`'s deterministic work counters.
 
-    `tables_built` counts `solve_value` calls, re-solves included;
-    `cells_computed` counts the cells their layer passes solved (not the cells
-    allocated).
+    `tables_built` counts `solve_value` calls, re-solves and row batches
+    included; `cells_computed` counts the cells they solved (not the cells
+    allocated). Beyond the subset cap, `rows_stored` counts the value rows the
+    solver's row stores hold and `bytes_held` their bytes (`RowStore.nbytes`).
     """
 
     tables_built: int = 0
     cache_hits: int = 0
     cells_computed: int = 0
+    rows_stored: int = 0
+    bytes_held: int = 0
 
 
 class ValueSolver:
-    """Shared value-table cache plus marginal-gain instrumentation.
+    """Shared value functions plus marginal-gain instrumentation.
 
     One table over the full task set answers every subset query (the recursion
     never looks outside `remaining`), so marginal gains V(b + j) - V(b) are two
     lookups. Every agent shares the mission's speed model and so the one
-    quadrature rule `quad`; tables are keyed by (start, ground set), so agents
-    that differ only in id or capacity share one solve. No agent's bundle
-    outgrows its capacity, so a table is solved only through the largest
-    capacity among the agents that share its start, and only on the cells they
-    can read (`solve_value`'s `layers`); a query for a larger set re-solves the
-    table through its full set. `evaluations` counts marginals per agent,
-    which is the score accounting the coordination layer reports; `stats`
-    counts the solver's work.
+    quadrature rule `quad`. Up to SUBSET_CAP tasks, tables are keyed by start,
+    so agents that differ only in id or capacity share one solve. No agent's
+    bundle outgrows its capacity, so a table is solved only through the
+    largest capacity among the agents that share its start, and only on the
+    cells they can read (`solve_value`'s `layers`); a query for a larger set
+    re-solves the table through its full set.
+
+    Beyond the cap, each start has one `RowStore` of value rows keyed by global
+    (mask, location), and a set's value function is a `RowView` of it. Sets
+    share their common rows, so each row is solved once. `prefetch` solves the
+    missing rows of many sets in one `solve_value` batch; the auction calls it
+    once per growth pass for every set its offers read, since a batch of one
+    set costs more numpy calls than it saves.
+
+    `evaluations` counts marginals per agent, which is the score accounting
+    the coordination layer reports; `stats` counts the solver's work.
     """
 
     def __init__(
@@ -596,8 +993,8 @@ class ValueSolver:
         self.grid_step = float(grid_step)
         self.evaluations: dict[int, int] = {a.id: 0 for a in inst.agents}
         self.stats = SolverStats()
-        # keyed by (start, ground set)
-        self._tables: dict[tuple, ValueTable] = {}
+        self._tables: dict[Location, ValueTable] = {}  # up to the cap, by start
+        self._stores: dict[Location, RowStore] = {}  # beyond the cap, by start
         # the layer bound per start: the largest capacity of the agents there
         self._layers: dict[Location, int] = {}
         for a in inst.agents:
@@ -607,44 +1004,77 @@ class ValueSolver:
     def total_evaluations(self) -> int:
         return sum(self.evaluations.values())
 
-    def table(self, agent: AgentSpec, allocated: Iterable[int] = ()) -> ValueTable:
-        """A table covering `allocated`, solved at least through its size.
+    def table(self, agent: AgentSpec, allocated: Iterable[int] = ()) -> ValueTable | RowView:
+        """A value function covering `allocated`, an iterable of task ids.
 
-        The ground set is the full task set when it fits the cap, else
-        `allocated`. The cached table serves when it is solved far enough;
-        otherwise `solve_value` solves one, through the start's layer bound
-        when `allocated` fits within it and through the full ground set when
-        not. It replaces the cached table, which is dropped before the solve so
-        that the solver never holds two tables for one key.
+        An id outside the mission's task set is refused. Up to the cap it is
+        the start's table over the full task set. The cached table serves when
+        it is solved through `len(allocated)` layers; otherwise `solve_value`
+        solves one, through the start's layer bound when `allocated` fits
+        within it and through the full task set when not. It replaces the
+        cached table, which is dropped before the solve so that the solver
+        never holds two tables for one start. Beyond the cap it is a `RowView`
+        of the start's row store, after `prefetch` solves any missing rows.
         """
+        n = self.instance.n_tasks
         allocated = set(int(j) for j in allocated)
-        if self.instance.n_tasks <= SUBSET_CAP:
-            ground = tuple(range(self.instance.n_tasks))
-        else:
-            ground = tuple(sorted(allocated))
-        key = (agent.start, ground)
-        # ids outside the ground set are refused by the table's readers; they
-        # must not make a dense table look short of layers
-        needed = min(len(allocated), len(ground))
-        tab = self._tables.get(key)
-        if tab is not None and needed <= tab.solved:
+        for j in sorted(allocated):
+            if not 0 <= j < n:
+                raise ValueError(f"task {j} is not in this table's task set, the "
+                                 f"mission's ids 0..{n - 1}")
+        if n > SUBSET_CAP:
+            store = self._store(agent)
+            if store.holds(store.mask(allocated)):
+                self.stats.cache_hits += 1
+            else:
+                self.prefetch(agent, [allocated])
+            return RowView(store, tuple(sorted(allocated)))
+        tab = self._tables.get(agent.start)
+        if tab is not None and len(allocated) <= tab.solved:
             self.stats.cache_hits += 1
             return tab
         if tab is not None:
-            del self._tables[key], tab
-        bound = self._layers.get(agent.start, len(ground))
+            del self._tables[agent.start], tab
+        bound = self._layers.get(agent.start, n)
         tab = solve_value(
             self.instance,
             agent,
-            ground,
+            range(n),
             quad=self.quad,
             grid_step=self.grid_step,
-            layers=bound if needed <= bound else None,
+            layers=bound if len(allocated) <= bound else None,
         )
-        self._tables[key] = tab
+        self._tables[agent.start] = tab
         self.stats.tables_built += 1
         self.stats.cells_computed += tab.computed
         return tab
+
+    def prefetch(self, agent: AgentSpec, sets: Iterable[Iterable[int]]) -> None:
+        """Solve, in one batch, every row that reading any of `sets` needs.
+
+        Beyond the cap, one `solve_value` call adds to the start's `RowStore`
+        every readable row of the sets that it lacks. Up to the cap this does
+        nothing: `table` solves the start's one table.
+        """
+        if self.instance.n_tasks <= SUBSET_CAP:
+            return
+        store = self._store(agent)
+        sets = [s for s in map(tuple, sets) if not store.holds(store.mask(s))]
+        if not sets:
+            return
+        batch = solve_value(self.instance, agent, sets, quad=self.quad,
+                            grid_step=self.grid_step, store=store)
+        self.stats.tables_built += 1
+        self.stats.cells_computed += batch.computed
+        self.stats.rows_stored += batch.rows
+        self.stats.bytes_held = sum(s.nbytes for s in self._stores.values())
+
+    def _store(self, agent: AgentSpec) -> RowStore:
+        store = self._stores.get(agent.start)
+        if store is None:
+            store = RowStore(self.instance, agent.start, self.quad, self.grid_step)
+            self._stores[agent.start] = store
+        return store
 
     def set_value(self, agent: AgentSpec, task_set: Iterable[int]) -> float:
         """V at the agent's start state holding exactly `task_set`."""

@@ -44,6 +44,7 @@ from mdpauction.valuedp import (
     SKIP,
     Action,
     AgentState,
+    RowView,
     Scenario,
     build_quadrature,
     mean_scenario,
@@ -250,18 +251,29 @@ def next_action_per_state(table, state):
 
     The snapped bin is ceil(time / step); beyond the last bin or with nothing
     left the action is Finish. Codes below k serve, below 2k skip, and anything
-    else finishes.
+    else finishes. A row view's code is read from its store's row, in global
+    task ids (k = n).
     """
-    k = len(table.task_ids)
+    ids = table.task_ids
     mask = table.mask_of(state.remaining)
+    loc = table.loc_of(state.at)
     b = table.bin_of(state.time)
     if b >= table.time_bins or mask == 0:
         return Action(FINISH)
-    code = int(table.policy[mask, table.loc_of(state.at), b])
+    if isinstance(table, RowView):
+        store = table.store
+        ids = range(len(store.tasks))
+        glob = sum(1 << j for a, j in enumerate(table.task_ids) if mask >> a & 1)
+        place = 0 if loc == 0 else 1 + table.task_ids[loc - 1]
+        row = store.index[glob * (len(ids) + 1) + place]
+        code = int(store.policy[place][row, b - store.first[place]])
+    else:
+        code = int(table.policy[mask, loc, b])
+    k = len(ids)
     if code < k:
-        return Action(SERVE, table.task_ids[code])
+        return Action(SERVE, ids[code])
     if code < 2 * k:
-        return Action(SKIP, table.task_ids[code - k])
+        return Action(SKIP, ids[code - k])
     return Action(FINISH)
 
 

@@ -282,6 +282,21 @@ def test_oversized_value_table_is_refused_before_allocating(tmp_path, capsys):
     assert err == "error: grid_step 1e-320 splits horizon 480.0 into infinitely many time bins\n"
 
 
+def test_oversized_row_store_is_refused_before_allocating(tmp_path, capsys):
+    # n = 13 > SUBSET_CAP at a 0.001-minute grid: the serve transitions alone
+    # would take about 8.4 GB
+    path = tmp_path / "n13.json"
+    run_cli(["gen", "--n", "13", "--m", "2", "--sigma", "0.1", "--seed", "4",
+             "--out", str(path)], capsys)
+    for args in (["solve"], ["validate", "--methods", "auction"]):
+        (code, out, err), peak = _peak_bytes(
+            lambda: run_cli([*args, str(path), "--grid", "0.001"], capsys))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: the value rows of one start over n=13 tasks with "
+                              "480001 time bins and Q=8 quadrature nodes would hold"), err
+        assert peak < 1 << 20, peak
+
+
 def test_oversized_rollout_is_refused_before_allocating(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("no method may run")

@@ -36,7 +36,7 @@ from mdpauction.instance import (
     generate_instance,
 )
 from mdpauction.valuedp import ValueSolver
-from mdpauction import baselines, harness
+from mdpauction import baselines, harness, valuedp
 from oracles import assignment_scenarios, classify_per_assignment, route_reward_per_scenario
 
 
@@ -369,8 +369,8 @@ def test_run_mission_without_rollouts_leaves_rollout_cells_empty():
 
 
 def test_sweep_runs_missions_beyond_the_subset_cap():
-    # n = 13 > SUBSET_CAP: the auction solves tables per queried set, as
-    # `mdpauction validate` does, instead of prebuilding one over all tasks
+    # n = 13 > SUBSET_CAP: the auction fills one row store per start, as
+    # `mdpauction validate` does, instead of prebuilding a table over all tasks
     cfg = ExperimentConfig(dimensions=((13, 4),), sigma_grid=(0.0,),
                            instances_per_cell=1, methods=("auction",),
                            rollout_rounds=10)
@@ -382,6 +382,20 @@ def test_sweep_runs_missions_beyond_the_subset_cap():
     allocation = run_auction(inst, network=NetworkModel.complete(4),
                              solver=ValueSolver(inst))
     assert row["expected_reward"] == allocation.expected_reward(inst)
+
+
+def test_sweep_records_a_row_store_over_the_byte_cap(monkeypatch):
+    # 1 MiB is less than the serve transitions of n = 13 tasks on a one-minute grid
+    monkeypatch.setattr(valuedp, "TABLE_BYTES_CAP", 1 << 20)
+    cfg = ExperimentConfig(dimensions=((13, 2),), sigma_grid=(0.0,),
+                           instances_per_cell=1, methods=("auction",), rollout_rounds=0)
+    result = run_experiment(cfg)
+    assert result.rows == []
+    (error,) = result.errors
+    assert error["n_tasks"] == 13
+    assert error["error"].startswith(
+        "ValueError: the value rows of one start over n=13 tasks with 481 time bins and "
+        "Q=1 quadrature nodes would hold")
 
 
 def test_rows_to_csv_layout():

@@ -352,7 +352,7 @@ def test_lockstep_validate_bit_identical_to_per_scenario_loop():
 
 @pytest.mark.parametrize("sigma, nodes, grid", [(0.0, 8, 1.0), (0.1, 4, 2.0)])
 def test_beyond_cap_tables_and_rollouts(sigma, nodes, grid):
-    # n > SUBSET_CAP: the solver builds one table per queried set
+    # n > SUBSET_CAP: each start's row store answers every queried set
     inst = generate_instance(
         GenerationConfig(n_tasks=13, n_agents=4, sigma_v_sq=sigma, seed=5)
     )
@@ -371,6 +371,18 @@ def test_beyond_cap_tables_and_rollouts(sigma, nodes, grid):
             for subset in itertools.combinations(bundle, size):
                 want = float(dense.values[dense.mask_of(subset), 0, 0])
                 assert solver.set_value(agent, subset).hex() == want.hex(), subset
+        # sets that share rows with the bundle and with each other: the bundle
+        # plus one or two more tasks, read after the bundle's rows are stored
+        outside = [j for j in range(inst.n_tasks) if j not in bundle][:3]
+        for extra in [(j,) for j in outside] + list(itertools.combinations(outside, 2)):
+            grown = sorted(set(bundle) | set(extra))
+            dense = solve_value(inst, agent, grown, quad=solver.quad, grid_step=grid)
+            value = float(dense.values[dense.mask_of(grown), 0, 0])
+            assert solver.set_value(agent, grown).hex() == value.hex(), grown
+            for j in extra:
+                rest = [i for i in grown if i != j]
+                gain = value - float(dense.values[dense.mask_of(rest), 0, 0])
+                assert solver.marginal_gain(agent, rest, j).hex() == gain.hex(), (rest, j)
     assert_rows_match_oracle(inst, {"auction": allocation}, 200, 13)
 
 
@@ -422,12 +434,25 @@ def test_solve_value_computes_every_table_cell_a_solver_counts(monkeypatch):
                                                seed=7, capacity=2))
     bounded = ValueSolver(small, quadrature_nodes=4)
     check_submodularity_V(small, solver=bounded)
-    for solver, solves in ((shared, returned[:built]), (bounded, returned[built:])):
+    checked = len(returned)
+    # n = 14 > SUBSET_CAP: a batch returns exactly the rows it added to the store
+    wide = generate_instance(GenerationConfig(n_tasks=14, n_agents=3, sigma_v_sq=0.1, seed=81))
+    stored = ValueSolver(wide, quadrature_nodes=3)
+    validate(wide, {"auction": run_auction(wide, solver=stored)}, rounds=200, seed=1)
+    for solver, solves in ((shared, returned[:built]), (bounded, returned[built:checked]),
+                           (stored, returned[checked:])):
         assert len(solves) == solver.stats.tables_built > 0
         assert sum(cells for _, cells in solves) == solver.stats.cells_computed
         assert all(any(held is table for table, _ in solves)
                    for held in solver._tables.values())
     assert bounded.stats.tables_built == 2
+    assert not stored._tables and len(stored._stores) == 1
+    assert all(batch.policy.size == batch.values.size == cells
+               for batch, cells in returned[checked:])
+    (store,) = stored._stores.values()
+    rows = [used - 1 for used in store.used]  # row 0 is mask 0's
+    assert sum(table.rows for table, _ in returned[checked:]) == sum(rows) == store.rows
+    assert stored.stats.cells_computed == sum(r * w for r, w in zip(rows, store.width))
 
 
 @pytest.mark.parametrize("grid", [0.3, 0.7, 3.7])

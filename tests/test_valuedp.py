@@ -12,6 +12,7 @@ import pytest
 from mdpauction.instance import (
     AgentSpec,
     GenerationConfig,
+    PLANE_SIDE,
     Location,
     MissionInstance,
     SpeedModel,
@@ -29,6 +30,7 @@ from mdpauction.valuedp import (
     Action,
     AgentState,
     QuadratureRule,
+    RowBatch,
     Scenario,
     SolverStats,
     ValueSolver,
@@ -783,7 +785,7 @@ def test_solver_counts_the_readable_cells_it_solves():
     assert solver.stats == SolverStats(tables_built=2, cache_hits=2,
                                        cells_computed=readable + dense)
     assert solver.table(inst.agents[0]).solved == 8
-    # a set with an unknown id is refused by the read, with no further solve
+    # a set with an unknown id is refused before any solve
     for _ in range(2):
         with pytest.raises(ValueError, match="task 8 is not in this table"):
             solver.set_value(inst.agents[0], range(9))
@@ -853,3 +855,150 @@ def test_earliest_bin_keeps_a_float_margin_at_the_due_bin():
     dense = solve_value(inst, agent, (0, 1), quad=quad, grid_step=grid)
     assert table.values[0b10, 1, m].hex() == dense.values[0b10, 1, m].hex()
     assert go[0] == (dense.policy[0b10, 1, m] < 4)
+
+
+# --- ids outside the task set, and the row store beyond the cap -----------------------
+
+
+@pytest.mark.parametrize("n", [6, 13])
+def test_solver_refuses_ids_outside_the_task_set(n):
+    inst = generate_instance(GenerationConfig(n_tasks=n, n_agents=1, sigma_v_sq=0.1, seed=3))
+    agent = inst.agents[0]
+    solver = ValueSolver(inst)
+    for bad in ([0, 99], [-1], [n]):
+        for query in (solver.table, solver.set_value):
+            with pytest.raises(ValueError, match=f"task {bad[-1]} is not in this table's "
+                                                 f"task set, the mission's ids 0..{n - 1}"):
+                query(agent, bad)
+    # refused up front: nothing was solved or stored
+    assert solver.stats == SolverStats()
+
+
+def with_distinct_starts(inst, seed):
+    """`inst` with every agent at its own random start, so no two share rows."""
+    rng = np.random.default_rng(seed)
+    agents = [dataclasses.replace(a, start=Location(*(float(v) for v in
+                                                      rng.uniform(0.0, PLANE_SIDE, 2))))
+              for a in inst.agents]
+    return dataclasses.replace(inst, agents=agents)
+
+
+def record_batches(monkeypatch):
+    """Every `RowBatch` that `solve_value` returns from now on, in order."""
+    import mdpauction.valuedp as valuedp
+
+    batches = []
+    solve = valuedp.solve_value
+
+    def recording(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        if isinstance(out, RowBatch):
+            batches.append(out)
+        return out
+
+    monkeypatch.setattr(valuedp, "solve_value", recording)
+    return batches
+
+
+def assert_view_matches_dense(solver, agent, ids):
+    """A set's view and stored rows against a dense `solve_value` over the set:
+    V at the start bit for bit, the codes `lookup` returns on every readable
+    cell, and every readable row's values with its beyond-horizon pad."""
+    grid = solver.grid_step
+    dense = solve_value(solver.instance, agent, ids, quad=solver.quad, grid_step=grid)
+    full = dense.mask_of(ids)
+    assert solver.set_value(agent, ids).hex() == float(dense.values[full, 0, 0]).hex(), ids
+    view = solver.table(agent, ids)
+    assert view.task_ids == dense.task_ids and view.time_bins == dense.time_bins
+    readable = readable_cells(dense, len(ids))
+    readable[0] = False
+    mask, loc, b = np.nonzero(readable)
+    got = view.lookup(mask, loc, b * grid)  # these grids divide bin times exactly
+    want = dense.lookup(mask, loc, b * grid)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want)), ids
+    store = view.store
+    for m, here in sorted(set(zip(mask.tolist(), loc.tolist()))):
+        place = view._place(here)
+        row = store.index[view._key(m, here)]
+        lb = store.first[place]
+        stored = store.values[place][row]
+        expect = dense.values[m, here, [0, -1]] if here == 0 else dense.values[m, here, lb:]
+        assert stored.tobytes() == expect.tobytes(), (ids, m, here)
+
+
+STORE_CASES = [(13 + (i // 2) % 4, (0.0, 0.1)[i % 2], q, grid)
+               for i, (q, grid) in enumerate(itertools.product((1, 3, 8), (0.5, 1.0, 2.0)))]
+
+
+@pytest.mark.parametrize("case", range(len(STORE_CASES)))
+def test_row_store_bit_identical_to_dense_tables(case, monkeypatch):
+    # growth passes of sets base + j, prefetched in shuffled orders, so batches
+    # of every shape fill the store: every set read through it must equal a
+    # dense table over the set, and no row may be computed twice
+    n, sigma, q, grid = STORE_CASES[case]
+    inst = with_distinct_starts(generate_instance(GenerationConfig(
+        n_tasks=n, n_agents=2, sigma_v_sq=sigma, seed=600 + case)), case)
+    batches = record_batches(monkeypatch)
+    solver = ValueSolver(inst, quadrature_nodes=q, grid_step=grid)
+    rng = random.Random(case)
+    queried = []
+    for agent in inst.agents:
+        bases = [()]
+        for _ in range(3):
+            bases.append(bases[-1] + (rng.choice([j for j in range(n) if j not in bases[-1]]),))
+        passes = [[tuple(sorted(base + (j,))) for j in range(n) if j not in base]
+                  for base in bases]
+        rng.shuffle(passes)
+        for sets in passes:
+            rng.shuffle(sets)
+            solver.prefetch(agent, sets)
+            queried += [(agent, ids) for ids in sets]
+    built = solver.stats.tables_built
+    assert built == len(batches) > 0
+    for agent, ids in rng.sample(queried, 24):
+        assert_view_matches_dense(solver, agent, ids)
+    # every set read was prefetched: no further batch
+    assert solver.stats.tables_built == built
+    stores = solver._stores.values()
+    assert len(stores) == 2
+    assert sum(b.rows for b in batches) == solver.stats.rows_stored == sum(
+        len(store.index) - (n + 1) for store in stores)
+    assert sum(b.computed for b in batches) == solver.stats.cells_computed
+    assert all(b.values.size == b.policy.size == b.computed for b in batches)
+    assert solver.stats.bytes_held == sum(store.nbytes for store in stores)
+
+
+def test_row_store_refuses_a_batch_over_the_byte_cap(monkeypatch):
+    import mdpauction.valuedp as valuedp
+
+    inst = with_distinct_starts(generate_instance(GenerationConfig(
+        n_tasks=13, n_agents=1, sigma_v_sq=0.0, seed=5)), 5)
+    agent = inst.agents[0]
+    solver = ValueSolver(inst, grid_step=0.05)
+    solver.set_value(agent, [0])
+    store = solver._stores[agent.start]
+    before = (solver.stats, store.rows, len(store.index), store.nbytes)
+    arrays = [id(v) for v in store.values]
+    # twelve tasks' own rows on a 0.05-minute grid need about 2.7 GB: refused
+    # before the batch is planned
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as err:
+            solver.set_value(agent, range(12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert re.fullmatch(r"the value rows of one start over n=13 tasks with 9601 time bins "
+                        r"and Q=1 quadrature nodes would hold 28659 rows in \d+ bytes; "
+                        r"the cap is 1073741824", str(err.value)), str(err.value)
+    # sets that fit alone, over a cap the planned batch passes: refused once
+    # planned, before anything grows
+    monkeypatch.setattr(valuedp, "TABLE_BYTES_CAP", store.nbytes + (1 << 20))
+    with pytest.raises(ValueError, match=r"n=13 tasks with 9601 time bins and Q=1 "):
+        solver.prefetch(agent, [(0, j) for j in range(1, 13)])
+    assert (solver.stats, store.rows, len(store.index), store.nbytes) == before
+    assert [id(v) for v in store.values] == arrays
+    # a set over the subset cap is refused as a dense table over it would be
+    with pytest.raises(ValueError, match="13 exceeds the subset cap 12"):
+        solver.set_value(agent, range(13))

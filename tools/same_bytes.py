@@ -7,7 +7,9 @@ Run it on two checkouts: equal digests mean every output below has the same
 bytes. The outputs are `solve` stdout and `--out` JSON for every method and
 topology on generated missions with sigma^2 0 and 0.1, `solve --no-wrap` and
 `solve --grid 10` on the sigma^2 0.1 mission, one auction `solve` beyond the
-subset cap (n = 13, which solves one table per queried set), `validate` stdout
+subset cap (n = 13, which reads value rows of one store per start),
+`validate` beyond the cap on n = 13, m = 4 missions whose agents each have their
+own start (sigma^2 0 and 0.1), `validate` stdout
 and CSV (on both missions, and on the sigma^2 0.1 mission with `--no-wrap`,
 `--quadrature`, `--grid`, `--seed` and `--topology` changed), `solve` and
 `validate` on an n = 7 mission edited so that its agents share a start but
@@ -89,6 +91,16 @@ def collect(work: Path) -> list[tuple[str, str]]:
     run(["gen", "--n", "13", "--m", "4", "--sigma", "0.1", "--seed", "11",
          "--out", str(work / "mission-13.json")])
     run(["solve", str(work / "mission-13.json"), "--quadrature", "3"], work / "solve.json")
+    for sigma in ("0", "0.1"):  # beyond the cap, every agent at its own start
+        apart = work / f"mission-13-apart-{sigma}.json"
+        run(["gen", "--n", "13", "--m", "4", "--sigma", sigma, "--seed", "13",
+             "--out", str(apart)])
+        doc = json.loads(apart.read_text())
+        for i, agent in enumerate(doc["agents"]):
+            agent["start"] = {"x": 10.0 + 25.0 * i, "y": 80.0 - 20.0 * i}
+        apart.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        run(["validate", str(apart), "--rounds", "200", "--samples", "30", "--quadrature", "3"],
+            work / "validate.csv")
     run(["bench", "--dims", "2,3", "--repeats", "1", "--samples", "20"],
         work / "bench.csv", strip_wall=True)
     for prop in ("optimality", "monotonicity", "convergence"):
